@@ -518,7 +518,9 @@ impl Experiment {
     /// [`TierMemError::OutOfMemory`] when the configured workloads do
     /// not fit in the configured memory, and
     /// [`TierMemError::InvalidConfig`] for a malformed adversarial
-    /// scenario — misconfigured experiments surface as typed errors so
+    /// scenario, a sampler period that is not a finite number of at
+    /// least one, or a migration bandwidth that is not positive and
+    /// finite — misconfigured experiments surface as typed errors so
     /// a matrix harness can fail one cell without `catch_unwind`.
     pub fn try_run(&self, policy: &mut dyn Policy) -> Result<RunResult, TierMemError> {
         let page_size = self.cfg.mem.page_size();
@@ -572,12 +574,10 @@ impl Experiment {
         let mut cur_phase: u32 = 0;
         let mut cur_pop_muts: Vec<Option<PopMutation>> = vec![None; self.bes.len()];
 
-        let mut sampler = AccessSampler::new(self.cfg.sampler_period, self.cfg.seed ^ 0x5A)
-            .expect("valid sampler period");
+        let mut sampler = AccessSampler::new(self.cfg.sampler_period, self.cfg.seed ^ 0x5A)?;
         let mut burst_rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xB0);
         let mut engine =
-            MigrationEngine::new(self.cfg.migration_bw, page_size, self.cfg.interval_secs)
-                .expect("valid migration configuration");
+            MigrationEngine::new(self.cfg.migration_bw, page_size, self.cfg.interval_secs)?;
 
         // Fault layer. When the plan is empty no hook is ever touched,
         // no observation is cloned, and the run is bit-identical to one
@@ -1786,6 +1786,30 @@ mod tests {
         assert!(r.total_migration_bytes > 0);
         assert!(r.avg_migration_bw() > 0.0);
         assert!(r.avg_migration_bw() <= exp.cfg.migration_bw);
+    }
+
+    /// A sampler period below one or NaN, or a migration bandwidth that
+    /// is zero or NaN, fails `try_run` with an `InvalidConfig` naming the
+    /// parameter instead of panicking.
+    #[test]
+    fn bad_sampler_or_migration_config_is_a_typed_error() {
+        let bw = SimConfig::small_test().migration_bw;
+        let period = SimConfig::small_test().sampler_period;
+        for (sampler_period, migration_bw, what) in [
+            (0.5, bw, "sampling period"),
+            (f64::NAN, bw, "sampling period"),
+            (period, 0.0, "bandwidth_bytes_per_sec"),
+            (period, f64::NAN, "bandwidth_bytes_per_sec"),
+        ] {
+            let mut exp = experiment(LoadPattern::Constant(0.5));
+            exp.cfg.sampler_period = sampler_period;
+            exp.cfg.migration_bw = migration_bw;
+            let err = exp.try_run(&mut StaticPolicy::fmem_all()).err();
+            assert!(
+                matches!(err, Some(TierMemError::InvalidConfig { what: w, .. }) if w == what),
+                "sampler_period {sampler_period}, migration_bw {migration_bw}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -126,18 +126,15 @@ impl WeightTable {
         &self.weights
     }
 
-    /// The alias-slot index the high bits of draw `r` select
-    /// (multiply-shift); stage-1 of the pipelined scatter prefetches
-    /// this slot before [`Self::event_rank`] reads it.
-    #[inline]
-    fn slot_index(&self, r: u64) -> usize {
-        (((r >> 32) * self.alias.len() as u64) >> 32) as usize
-    }
-
     /// Maps one 64-bit uniform draw to a rank, distributed proportionally
     /// to the table weights. The high 32 bits pick an alias slot by
     /// multiply-shift; the low 32 bits are the fixed-point coin deciding
     /// slot vs. alias. O(1), one 8-byte table access per event.
+    ///
+    /// The coin is fresh randomness per event, so a conditional jump on
+    /// it is unpredictable for every slot whose threshold lies strictly
+    /// inside the 32-bit range; `select_unpredictable` resolves it with
+    /// a conditional move instead.
     #[inline]
     fn event_rank(&self, r: u64) -> usize {
         let n = self.alias.len() as u64;
@@ -145,11 +142,7 @@ impl WeightTable {
         debug_assert!(j < self.alias.len());
         // SAFETY: `(x >> 32) * n >> 32 < n` for any 32-bit `x >> 32`.
         let slot = unsafe { *self.alias.get_unchecked(j) };
-        if (r as u32) < slot.thresh {
-            j
-        } else {
-            slot.alias as usize
-        }
+        std::hint::select_unpredictable((r as u32) < slot.thresh, j, slot.alias as usize)
     }
 }
 
@@ -202,22 +195,19 @@ fn build_alias(weights: &[f64], total: f64) -> Vec<AliasSlot> {
     slots
 }
 
-/// Events per pipelined-scatter chunk: enough to cover the prefetch
-/// latency, small enough to stay register/L1-resident.
-const SCATTER_CHUNK: usize = 64;
-
-/// Best-effort cache-line prefetch — the pipelined scatter loops hide
-/// the alias-table and estimate-buffer miss latency behind the RNG
-/// work of later events. A no-op on non-x86 targets.
-#[inline(always)]
-fn prefetch<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch has no memory effects; any address is allowed.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(p as *const i8);
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
+/// `x.round() as u64` without a library call: truncate, then add one
+/// when the dropped fraction is at least one half. On baseline x86-64
+/// (no SSE4.1 `roundsd`) `f64::round` compiles to a call into libm,
+/// which the period scale-up would pay once per touched rank.
+///
+/// Exact for every input, including the saturating casts: below 2⁵²
+/// `x - t` is computed without rounding (Sterbenz), at or above 2⁵²
+/// every `f64` is an integer so the fraction is zero, NaN and negative
+/// inputs read 0, and anything at or above 2⁶⁴ saturates to `u64::MAX`.
+#[inline]
+fn round_to_u64(x: f64) -> u64 {
+    let t = x as u64;
+    t.saturating_add((x - t as f64 >= 0.5) as u64)
 }
 
 /// Dirty-rank bitset over a sampled-estimate buffer: one bit per rank,
@@ -432,125 +422,20 @@ impl AccessSampler {
     /// per-page counters from PEBS records.
     #[inline]
     pub fn estimate_from_samples(&self, sampled: u64) -> u64 {
-        (sampled as f64 * self.period).round() as u64
+        round_to_u64(sampled as f64 * self.period)
     }
 
-    /// Convenience: samples a whole per-page count vector in place,
-    /// returning estimated true counts (sampled × period).
-    pub fn sample_estimates(&mut self, true_counts: &[f64]) -> Vec<u64> {
-        true_counts
-            .iter()
-            .map(|&c| {
-                let s = self.sample_count(c);
-                self.estimate_from_samples(s)
-            })
-            .collect()
-    }
-
-    /// Batched uniform path: fills `out` with sampled event counts for
-    /// `out.len()` pages that each truly received `per_page_true`
-    /// accesses. Distributionally identical to one [`Self::sample_count`]
-    /// per page — n iid Poisson draws equal one aggregate
-    /// `Poisson(n · mean)` draw scattered uniformly (Poisson splitting) —
-    /// but costs O(events) RNG work instead of O(pages) Poisson draws.
-    pub fn sample_uniform_events(&mut self, out: &mut [u64], per_page_true: f64) {
-        let _span = self.obs.span_here("sample");
-        out.fill(0);
-        let n = out.len();
-        if self.fault_blackout || n == 0 {
-            if self.fault_blackout {
-                self.obs.count("tiermem.sampler.blackout_batches", 1);
-            }
-            return;
-        }
-        let mean_total = per_page_true.max(0.0) * n as f64 / self.period * self.fault_keep;
-        let events = poisson(&mut self.rng, mean_total);
-        for _ in 0..events {
-            out[self.rng.gen_range(0..n)] += 1;
-        }
-        self.obs.count("tiermem.sampler.batches", 1);
-        self.obs.count("tiermem.sampler.events", events);
-    }
-
-    /// [`Self::sample_uniform_events`] followed by the period scale-up of
-    /// [`Self::estimate_from_samples`], in place.
-    pub fn sample_uniform_estimates(&mut self, out: &mut [u64], per_page_true: f64) {
-        self.sample_uniform_events(out, per_page_true);
-        self.scale_events_to_estimates(out);
-    }
-
-    /// Batched weighted path: fills `out` with sampled event counts for a
-    /// workload whose page at rank `r` truly received
-    /// `total_true · table.weights()[r]` accesses. One aggregate
-    /// `Poisson(total mass)` draw is scattered over the ranks through the
-    /// table's Walker alias decomposition — equivalent in distribution to
-    /// an independent Poisson draw per page (Poisson splitting: a
-    /// Poisson-distributed number of categorical trials yields
-    /// independent Poisson counts per category), at O(1) RNG work per
-    /// *event* instead of per *page*. Pages whose expected sample count
-    /// is negligible are never touched.
+    /// Batched uniform path: fills `out` with estimated true counts
+    /// (sampled events × period) for `out.len()` pages that each truly
+    /// received `per_page_true` accesses. Distributionally identical to
+    /// one [`Self::sample_count`] per page — n iid Poisson draws equal one
+    /// aggregate `Poisson(n · mean)` draw scattered uniformly (Poisson
+    /// splitting) — but costs O(events) RNG work instead of O(pages)
+    /// Poisson draws.
     ///
-    /// # Panics
-    ///
-    /// Panics if `out.len() != table.len()`.
-    pub fn sample_weighted_events(
-        &mut self,
-        out: &mut [u64],
-        total_true: f64,
-        table: &WeightTable,
-    ) {
-        let _span = self.obs.span_here("sample");
-        assert_eq!(
-            out.len(),
-            table.len(),
-            "output slice must cover every table rank"
-        );
-        out.fill(0);
-        if self.fault_blackout || out.is_empty() {
-            if self.fault_blackout {
-                self.obs.count("tiermem.sampler.blackout_batches", 1);
-            }
-            return;
-        }
-        // Expected events per unit weight.
-        let c = total_true.max(0.0) / self.period * self.fault_keep;
-        if c <= 0.0 || table.total() <= 0.0 {
-            return;
-        }
-        let events = poisson(&mut self.rng, table.total() * c);
-        for _ in 0..events {
-            let r = self.rng.next_u64();
-            out[table.event_rank(r)] += 1;
-        }
-        self.obs.count("tiermem.sampler.batches", 1);
-        self.obs.count("tiermem.sampler.events", events);
-    }
-
-    /// [`Self::sample_weighted_events`] followed by the period scale-up
-    /// of [`Self::estimate_from_samples`], in place.
-    pub fn sample_weighted_estimates(
-        &mut self,
-        out: &mut [u64],
-        total_true: f64,
-        table: &WeightTable,
-    ) {
-        self.sample_weighted_events(out, total_true, table);
-        self.scale_events_to_estimates(out);
-    }
-
-    /// Converts sampled event counts to estimated true counts in place.
-    fn scale_events_to_estimates(&self, out: &mut [u64]) {
-        for v in out.iter_mut() {
-            *v = (*v as f64 * self.period).round() as u64;
-        }
-    }
-
-    /// [`Self::sample_uniform_estimates`] with touched-rank tracking:
     /// `touched` records exactly the ranks that received events, the
     /// buffer is cleared through the set (O(events from last tick), not
-    /// O(pages)), and only touched entries are period-scaled. The RNG
-    /// stream and the resulting estimates are bit-identical to the
-    /// untracked path.
+    /// O(pages)), and only touched entries are period-scaled.
     pub fn sample_uniform_estimates_touched(
         &mut self,
         out: &mut [u64],
@@ -568,37 +453,31 @@ impl AccessSampler {
         }
         let mean_total = per_page_true.max(0.0) * n as f64 / self.period * self.fault_keep;
         let events = poisson(&mut self.rng, mean_total);
-        // Pipelined scatter: draw a chunk of ranks (prefetching each
-        // destination), then apply the increments. The RNG call order
-        // and the resulting counts are identical to the one-at-a-time
-        // loop — increments within a chunk commute.
-        let mut ranks = [0usize; SCATTER_CHUNK];
-        let mut left = events as usize;
-        while left > 0 {
-            let k = left.min(SCATTER_CHUNK);
-            for slot in ranks.iter_mut().take(k) {
-                let r = self.rng.gen_range(0..n);
-                prefetch(&out[r]);
-                *slot = r;
+        for _ in 0..events {
+            let r = self.rng.gen_range(0..n);
+            debug_assert!(r < out.len());
+            // SAFETY: `gen_range(0..n)` with `n == out.len()`.
+            unsafe {
+                *out.get_unchecked_mut(r) += 1;
             }
-            for &r in ranks.iter().take(k) {
-                debug_assert!(r < out.len());
-                // SAFETY: `gen_range(0..n)` with `n == out.len()`.
-                unsafe {
-                    *out.get_unchecked_mut(r) += 1;
-                }
-                touched.set(r);
-            }
-            left -= k;
+            touched.set(r);
         }
         self.obs.count("tiermem.sampler.batches", 1);
         self.obs.count("tiermem.sampler.events", events);
         self.scale_touched(out, touched);
     }
 
-    /// [`Self::sample_weighted_estimates`] with touched-rank tracking
-    /// (see [`Self::sample_uniform_estimates_touched`]). Bit-identical
-    /// output and RNG stream.
+    /// Batched weighted path: fills `out` with estimated true counts for
+    /// a workload whose page at rank `r` truly received
+    /// `total_true · table.weights()[r]` accesses. One aggregate
+    /// `Poisson(total mass)` draw is scattered over the ranks through the
+    /// table's Walker alias decomposition — equivalent in distribution to
+    /// an independent Poisson draw per page (Poisson splitting: a
+    /// Poisson-distributed number of categorical trials yields
+    /// independent Poisson counts per category), at O(1) RNG work per
+    /// *event* instead of per *page*. Pages whose expected sample count
+    /// is negligible are never touched. Touched-rank tracking as in
+    /// [`Self::sample_uniform_estimates_touched`].
     ///
     /// # Panics
     ///
@@ -623,43 +502,21 @@ impl AccessSampler {
             }
             return;
         }
+        // Expected events per unit weight.
         let c = total_true.max(0.0) / self.period * self.fault_keep;
         if c <= 0.0 || table.total() <= 0.0 {
             return;
         }
         let events = poisson(&mut self.rng, table.total() * c);
-        // Three-stage pipelined scatter: (1) draw a chunk and prefetch
-        // each draw's alias slot, (2) resolve ranks and prefetch each
-        // destination, (3) apply the increments. The RNG stream and the
-        // resulting counts are identical to the one-at-a-time loop —
-        // rank resolution is pure and increments within a chunk
-        // commute.
-        let mut draws = [0u64; SCATTER_CHUNK];
-        let mut ranks = [0usize; SCATTER_CHUNK];
-        let mut left = events as usize;
-        while left > 0 {
-            let k = left.min(SCATTER_CHUNK);
-            for slot in draws.iter_mut().take(k) {
-                let r = self.rng.next_u64();
-                prefetch(&table.alias[table.slot_index(r)]);
-                *slot = r;
+        for _ in 0..events {
+            let rank = table.event_rank(self.rng.next_u64());
+            debug_assert!(rank < out.len());
+            // SAFETY: `event_rank` returns a rank below `table.len()`,
+            // which the entry assert pinned to `out.len()`.
+            unsafe {
+                *out.get_unchecked_mut(rank) += 1;
             }
-            for i in 0..k {
-                let rank = table.event_rank(draws[i]);
-                prefetch(&out[rank]);
-                ranks[i] = rank;
-            }
-            for &rank in ranks.iter().take(k) {
-                debug_assert!(rank < out.len());
-                // SAFETY: `event_rank` returns a rank below
-                // `table.len()`, which the entry assert pinned to
-                // `out.len()`.
-                unsafe {
-                    *out.get_unchecked_mut(rank) += 1;
-                }
-                touched.set(rank);
-            }
-            left -= k;
+            touched.set(rank);
         }
         self.obs.count("tiermem.sampler.batches", 1);
         self.obs.count("tiermem.sampler.events", events);
@@ -674,10 +531,8 @@ impl AccessSampler {
             debug_assert!(r < out.len());
             // SAFETY: the set only holds ranks the scatter loop wrote,
             // all below `out.len()`.
-            unsafe {
-                let v = out.get_unchecked_mut(r);
-                *v = (*v as f64 * self.period).round() as u64;
-            }
+            let v = unsafe { out.get_unchecked_mut(r) };
+            *v = self.estimate_from_samples(*v);
         }
     }
 }
@@ -761,15 +616,6 @@ mod tests {
     }
 
     #[test]
-    fn sample_estimates_vector() {
-        let mut s = AccessSampler::new(1.0, 11).unwrap();
-        let ests = s.sample_estimates(&[0.0, 1000.0, 50.0]);
-        assert_eq!(ests.len(), 3);
-        assert_eq!(ests[0], 0);
-        assert!(ests[1] > 800 && ests[1] < 1200);
-    }
-
-    #[test]
     fn blackout_reads_zero_and_clears() {
         let mut s = AccessSampler::new(2.0, 5).unwrap();
         s.set_fault_state(true, 1.0);
@@ -844,6 +690,12 @@ mod tests {
         (mean, var)
     }
 
+    /// Divides the period back out of a touched kernel's estimates
+    /// (exact for the integral periods these tests use).
+    fn to_events(out: &[u64], period: f64) -> Vec<u64> {
+        out.iter().map(|&e| e / period as u64).collect()
+    }
+
     /// Seeded equivalence: the batched uniform path matches the per-page
     /// scalar loop in mean and variance. Both are Poisson(m) per page
     /// (the batched draw is the same distribution by Poisson splitting),
@@ -859,8 +711,12 @@ mod tests {
 
         let mut batched = AccessSampler::new(period, 43).unwrap();
         let mut out = vec![0u64; n];
-        batched.sample_uniform_events(&mut out, true_per_page);
-        let (m_b, v_b) = moments(&out);
+        batched.sample_uniform_estimates_touched(
+            &mut out,
+            &mut TouchedSet::default(),
+            true_per_page,
+        );
+        let (m_b, v_b) = moments(&to_events(&out, period));
 
         // σ of the sample mean is √(10/20000) ≈ 0.022; allow 5σ.
         assert!((m_s - 10.0).abs() < 0.12, "scalar mean {m_s}");
@@ -893,6 +749,7 @@ mod tests {
         let mut totals_s = Vec::with_capacity(rounds);
         let mut totals_b = Vec::with_capacity(rounds);
         let mut out = vec![0u64; n];
+        let mut touched = TouchedSet::default();
         for _ in 0..rounds {
             let mut t = 0u64;
             for (rank, acc) in sum_s.iter_mut().enumerate() {
@@ -901,11 +758,12 @@ mod tests {
                 t += ev;
             }
             totals_s.push(t);
-            batched.sample_weighted_events(&mut out, total_true, &table);
-            for (acc, &ev) in sum_b.iter_mut().zip(out.iter()) {
+            batched.sample_weighted_estimates_touched(&mut out, &mut touched, total_true, &table);
+            let events = to_events(&out, period);
+            for (acc, &ev) in sum_b.iter_mut().zip(&events) {
                 *acc += ev;
             }
-            totals_b.push(out.iter().sum());
+            totals_b.push(events.iter().sum());
         }
 
         // Aggregate totals: both are Poisson(total_true/period) per round.
@@ -952,9 +810,10 @@ mod tests {
         let mut s = AccessSampler::new(2.0, 9).unwrap();
         s.set_fault_state(true, 1.0);
         let mut out = [7u64; 3];
-        s.sample_weighted_events(&mut out, 1e6, &table);
+        s.sample_weighted_estimates_touched(&mut out, &mut TouchedSet::default(), 1e6, &table);
         assert_eq!(out, [0, 0, 0]);
-        s.sample_uniform_events(&mut out, 1e6);
+        out = [7; 3];
+        s.sample_uniform_estimates_touched(&mut out, &mut TouchedSet::default(), 1e6);
         assert_eq!(out, [0, 0, 0]);
         s.set_fault_state(false, 1.0);
 
@@ -963,9 +822,10 @@ mod tests {
         let mut dropped = AccessSampler::new(4.0, 17).unwrap();
         dropped.set_fault_state(false, 0.25);
         let mut buf = vec![0u64; 512];
-        nominal.sample_uniform_events(&mut buf, 400.0);
+        let mut touched = TouchedSet::default();
+        nominal.sample_uniform_estimates_touched(&mut buf, &mut touched, 400.0);
         let a: u64 = buf.iter().sum();
-        dropped.sample_uniform_events(&mut buf, 400.0);
+        dropped.sample_uniform_estimates_touched(&mut buf, &mut touched, 400.0);
         let b: u64 = buf.iter().sum();
         let ratio = b as f64 / a as f64;
         assert!((ratio - 0.25).abs() < 0.05, "ratio {ratio}");
@@ -974,13 +834,151 @@ mod tests {
         let run = |seed: u64| {
             let mut s = AccessSampler::new(8.0, seed).unwrap();
             let mut o = vec![0u64; 64];
-            s.sample_uniform_estimates(&mut o, 100.0);
+            s.sample_uniform_estimates_touched(&mut o, &mut TouchedSet::default(), 100.0);
             let t = WeightTable::new(&(0..64).map(|r| 1.0 / (r + 1) as f64).collect::<Vec<_>>())
                 .unwrap();
             let mut o2 = vec![0u64; 64];
-            s.sample_weighted_estimates(&mut o2, 5000.0, &t);
+            s.sample_weighted_estimates_touched(&mut o2, &mut TouchedSet::default(), 5000.0, &t);
             (o, o2)
         };
         assert_eq!(run(33), run(33));
+    }
+
+    fn zipf(n: usize, s: f64) -> Vec<f64> {
+        (0..n).map(|r| ((r + 1) as f64).powf(-s)).collect()
+    }
+
+    /// The alias resolution `event_rank` replaced: a branch on the coin.
+    fn branchy_rank(t: &WeightTable, r: u64) -> usize {
+        let j = (((r >> 32) * t.alias.len() as u64) >> 32) as usize;
+        if (r as u32) < t.alias[j].thresh {
+            j
+        } else {
+            t.alias[j].alias as usize
+        }
+    }
+
+    /// The branch-free `event_rank` resolves every slot like the branch,
+    /// at both ends of the slot's high-word range and at coins on and
+    /// around the slot's threshold.
+    #[test]
+    fn event_rank_select_matches_branch_at_every_slot() {
+        let mut rotated = zipf(300, 1.1);
+        rotated.rotate_left(37);
+        let tables = [
+            WeightTable::new(&zipf(300, 1.1)).unwrap(),
+            WeightTable::new_unsorted(&rotated).unwrap(),
+            WeightTable::new_unsorted(&[0.0, 0.4, 0.0, 0.0, 0.35, 0.25, 0.0]).unwrap(),
+            WeightTable::new(&[1.0]).unwrap(),
+        ];
+        for t in &tables {
+            let n = t.len() as u64;
+            for (j, slot) in t.alias.iter().enumerate() {
+                let first = ((j as u64) << 32).div_ceil(n);
+                let last = ((j as u64 + 1) << 32).div_ceil(n) - 1;
+                for hi in [first, last] {
+                    assert_eq!(((hi * n) >> 32) as usize, j);
+                    for coin in [0, slot.thresh.wrapping_sub(1), slot.thresh, u32::MAX] {
+                        let r = (hi << 32) | coin as u64;
+                        assert_eq!(t.event_rank(r), branchy_rank(t, r), "draw {r:#x}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// The fused kernels replay the reference scatter exactly — the same
+    /// draws in the same order, resolved with a branch and scaled with
+    /// `f64::round` — so they leave every golden digest unchanged.
+    #[test]
+    fn touched_kernels_match_reference_scatter() {
+        let table = WeightTable::new(&zipf(2048, 0.9)).unwrap();
+        let n = table.len();
+        for period in [1.0, 3.7, 101.0, 1009.0] {
+            let mut s = AccessSampler::new(period, 99).unwrap();
+            let (mut out, mut touched) = (vec![0u64; n], TouchedSet::default());
+            for total_true in [1.0e5, 3.0e5] {
+                let mut rng = s.rng.clone();
+                let (mut want_w, mut want_u) = (vec![0u64; n], vec![0u64; n]);
+                for _ in 0..poisson(&mut rng, table.total() * (total_true / period)) {
+                    want_w[branchy_rank(&table, rng.next_u64())] += 1;
+                }
+                for _ in 0..poisson(&mut rng, 30.0 * n as f64 / period) {
+                    want_u[rng.gen_range(0..n)] += 1;
+                }
+                for v in want_w.iter_mut().chain(&mut want_u) {
+                    *v = (*v as f64 * period).round() as u64;
+                }
+                s.sample_weighted_estimates_touched(&mut out, &mut touched, total_true, &table);
+                assert_eq!(out, want_w, "weighted, period {period}");
+                s.sample_uniform_estimates_touched(&mut out, &mut touched, 30.0);
+                assert_eq!(out, want_u, "uniform, period {period}");
+                assert_eq!(s.rng.state(), rng.state());
+            }
+        }
+    }
+
+    /// Two calls on the same buffers: afterwards the set holds exactly
+    /// the nonzero ranks in ascending order, and the ranks only the
+    /// first call touched have been zeroed through the set.
+    #[test]
+    fn touched_set_holds_exactly_the_nonzero_ranks() {
+        let table = WeightTable::new(&zipf(300, 1.1)).unwrap();
+        let mut s = AccessSampler::new(8.0, 5).unwrap();
+        for uniform in [false, true] {
+            let (mut out, mut touched) = (vec![0u64; table.len()], TouchedSet::default());
+            let mut ranks = Vec::new();
+            for _ in 0..2 {
+                if uniform {
+                    s.sample_uniform_estimates_touched(&mut out, &mut touched, 2.0);
+                } else {
+                    s.sample_weighted_estimates_touched(&mut out, &mut touched, 400.0, &table);
+                }
+                let now: Vec<usize> = touched.iter_ranks().collect();
+                assert!(now.windows(2).all(|w| w[0] < w[1]), "{now:?}");
+                assert!((0..out.len()).all(|r| (out[r] != 0) == now.contains(&r)));
+                ranks.push(now);
+            }
+            let (first, second) = (&ranks[0], &ranks[1]);
+            assert!(first.iter().any(|r| !second.contains(r)), "{first:?}");
+            assert!(first.iter().all(|&r| second.contains(&r) || out[r] == 0));
+        }
+    }
+
+    #[test]
+    fn round_to_u64_matches_round_at_edges() {
+        let mut xs = vec![-0.0, 5e-324, -1.5, 1e20, f64::MAX];
+        xs.extend([f64::INFINITY, f64::NEG_INFINITY, f64::NAN]);
+        for e in [52, 53, 63, 64] {
+            let p = 2f64.powi(e);
+            xs.extend([p, p + 1.0, p + 2.0]);
+        }
+        for n in [0u64, 1, 2, 1009, 1 << 20, (1 << 51) + 3, (1 << 52) - 1] {
+            let half = n as f64 + 0.5;
+            xs.extend([half.next_down(), half, half.next_up()]);
+        }
+        for x in xs {
+            assert_eq!(round_to_u64(x), x.round() as u64, "{x:e}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(50_000))]
+
+        #[test]
+        fn round_to_u64_matches_round_on_bit_patterns(bits in 0u64..(1 << 63)) {
+            let x = f64::from_bits(bits);
+            proptest::prop_assert!(round_to_u64(x) == x.round() as u64, "{x:e}");
+        }
+
+        #[test]
+        fn round_to_u64_matches_round_on_period_products(
+            k in 0u64..(1 << 40),
+            shift in 0u32..40,
+            period in 1.0f64..1.0e4,
+        ) {
+            let x = (k >> shift) as f64 * period;
+            proptest::prop_assert!(round_to_u64(x) == x.round() as u64, "{x:e}");
+        }
     }
 }

@@ -217,15 +217,15 @@ impl Popularity {
 
     /// Builds the sampler's [`WeightTable`] over these weights, enabling
     /// the batched weighted sampling path
-    /// ([`AccessSampler::sample_weighted_estimates`]). Weights are
-    /// normalized, finite, and non-negative by construction, so this
+    /// ([`AccessSampler::sample_weighted_estimates_touched`]). Weights
+    /// are normalized, finite, and non-negative by construction, so this
     /// cannot fail. Scenario-mutated distributions
     /// ([`Popularity::from_weights`]) are not rank-sorted, so the
     /// order-agnostic table constructor is used.
     ///
     /// [`WeightTable`]: mtat_tiermem::sampler::WeightTable
-    /// [`AccessSampler::sample_weighted_estimates`]:
-    ///     mtat_tiermem::sampler::AccessSampler::sample_weighted_estimates
+    /// [`AccessSampler::sample_weighted_estimates_touched`]:
+    ///     mtat_tiermem::sampler::AccessSampler::sample_weighted_estimates_touched
     pub fn to_weight_table(&self) -> mtat_tiermem::sampler::WeightTable {
         mtat_tiermem::sampler::WeightTable::new_unsorted(&self.weights)
             .expect("popularity weights are normalized, finite, and non-negative")
