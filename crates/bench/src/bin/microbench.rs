@@ -1,8 +1,8 @@
-//! Data-plane microbenchmarks for the SoA arena hot paths.
+//! Microbenchmarks for the SoA arena hot paths and the SAC agent.
 //!
-//! Times the three primitives the adaptive per-tick cost decomposes
-//! into, in isolation, so a regression in any one of them is visible
-//! before it washes out in the end-to-end ticks/sec number:
+//! Times the primitives the adaptive per-tick cost decomposes into, in
+//! isolation, so a regression in any one of them is visible before it
+//! washes out in the end-to-end ticks/sec number:
 //!
 //! * **migrate_batch** — owner-run batched tier moves over a candidate
 //!   slice (pages/sec, ping-ponging a block between tiers so every call
@@ -12,7 +12,11 @@
 //!   maintenance (ops/sec);
 //! * **hottest-scan** — `hottest_matching_into` over a populated
 //!   histogram with the residency-bitset predicate, the gather step of
-//!   every enforcement tick (scans/sec and pages/sec).
+//!   every enforcement tick (scans/sec and pages/sec);
+//! * **SAC** — one gradient round of a warmed paper-config agent (ms;
+//!   MTAT runs one every second partitioning decision and every second
+//!   pretraining step), and one greedy and one exploring action (µs;
+//!   one per decision, one per pretraining step).
 //!
 //! Writes `BENCH_micro.json` (override with `--out PATH`); CI uploads
 //! the file as an artifact next to the span traces. Absolute numbers
@@ -21,6 +25,8 @@
 
 use std::time::Instant;
 
+use mtat_rl::replay::Transition;
+use mtat_rl::sac::{Sac, SacConfig};
 use mtat_tiermem::histogram::{AccessHistogram, NUM_BINS};
 use mtat_tiermem::memory::{InitialPlacement, MemorySpec, TieredMemory};
 use mtat_tiermem::page::{PageId, PageRegion, Tier};
@@ -118,6 +124,48 @@ fn bench_hottest_scan() -> (f64, f64) {
     (scans as f64 / secs, pages as f64 / secs)
 }
 
+/// A paper-config agent whose replay buffer holds 512 plausible
+/// transitions (and which has run its first rounds on them).
+fn warmed_sac() -> Sac {
+    let mut agent = Sac::new(SacConfig::paper(3, 1), 99);
+    for i in 0..512 {
+        let x = (i % 97) as f64 / 97.0;
+        agent.observe(Transition {
+            state: vec![x, x, 1.0 - x],
+            action: vec![x * 2.0 - 1.0],
+            reward: 1.0 - x,
+            next_state: vec![x * 0.9, x * 0.9, 1.0 - x],
+            done: false,
+        });
+    }
+    agent
+}
+
+/// Mean seconds per call of `f`, repeated for at least [`MIN_SECS`].
+fn secs_per_call(mut f: impl FnMut()) -> f64 {
+    let mut calls = 0u64;
+    let start = Instant::now();
+    while start.elapsed().as_secs_f64() < MIN_SECS {
+        f();
+        calls += 1;
+    }
+    start.elapsed().as_secs_f64() / calls as f64
+}
+
+/// Returns (gradient round ms, greedy action µs, exploring action µs).
+fn bench_sac() -> (f64, f64, f64) {
+    let mut agent = warmed_sac();
+    let state = [0.4, 0.4, 0.7];
+    let round = secs_per_call(|| agent.update());
+    let greedy = secs_per_call(|| {
+        std::hint::black_box(agent.act_deterministic(std::hint::black_box(&state)));
+    });
+    let explore = secs_per_call(|| {
+        std::hint::black_box(agent.act(std::hint::black_box(&state)));
+    });
+    (round * 1e3, greedy * 1e6, explore * 1e6)
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let out_path = args
@@ -136,13 +184,19 @@ fn main() {
     eprintln!("# microbench: hottest-scan (k=1024, bitset predicate)...");
     let (scans, scan_pages) = bench_hottest_scan();
     eprintln!("#   {scans:.0} scans/s, {scan_pages:.0} pages/s");
+    eprintln!("# microbench: SAC gradient round and actions (paper config)...");
+    let (round_ms, greedy_us, explore_us) = bench_sac();
+    eprintln!("#   round {round_ms:.3} ms, greedy {greedy_us:.2} us, exploring {explore_us:.2} us");
 
     let json = format!(
-        "{{\n  \"schema\": 1,\n  \
+        "{{\n  \"schema\": 2,\n  \
          \"migrate_batch_pages_per_sec\": {migrate:.0},\n  \
          \"rebin_ops_per_sec\": {rebin:.0},\n  \
          \"hottest_scan_per_sec\": {scans:.0},\n  \
-         \"hottest_scan_pages_per_sec\": {scan_pages:.0}\n}}\n"
+         \"hottest_scan_pages_per_sec\": {scan_pages:.0},\n  \
+         \"sac_update_round_ms\": {round_ms:.4},\n  \
+         \"sac_act_deterministic_us\": {greedy_us:.3},\n  \
+         \"sac_act_us\": {explore_us:.3}\n}}\n"
     );
     print!("{json}");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

@@ -7,8 +7,11 @@
 //!
 //! 1. converts the outcome of the *previous* action into the Eq. (2)
 //!    reward and stores the transition in the replay buffer,
-//! 2. (optionally) keeps learning online, exactly as the prototype's
-//!    user-space daemon does with its 50-sample incremental updates, and
+//! 2. (optionally) keeps learning online, as the prototype's user-space
+//!    daemon does with its incremental updates: the agent runs one
+//!    gradient round every second stored transition (`update_every = 2`,
+//!    set by [`LcPartitioner::pretrained`] and carried into online
+//!    learning; the paper's daemon waits for 50 new samples), and
 //! 3. emits the next action — a net FMem change clipped to `±M/2t` —
 //!    and the resulting target allocation in bytes.
 

@@ -15,36 +15,38 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation to `pre` (the pre-activation values),
-    /// returning the activated output.
-    pub fn forward(&self, pre: &[f64]) -> Vec<f64> {
+    /// Applies the activation in place, turning pre-activation values
+    /// into the activated output.
+    pub fn forward_in_place(&self, x: &mut [f64]) {
         match self {
-            Activation::Relu => pre.iter().map(|&x| x.max(0.0)).collect(),
-            Activation::Tanh => pre.iter().map(|&x| x.tanh()).collect(),
-            Activation::Identity => pre.to_vec(),
+            Activation::Relu => x.iter_mut().for_each(|v| *v = v.max(0.0)),
+            Activation::Tanh => x.iter_mut().for_each(|v| *v = v.tanh()),
+            Activation::Identity => {}
         }
     }
 
-    /// Multiplies `grad_out` by the activation's derivative evaluated at
-    /// pre-activation `pre`, producing the gradient with respect to the
-    /// pre-activation values.
-    pub fn backward(&self, pre: &[f64], grad_out: &[f64]) -> Vec<f64> {
-        debug_assert_eq!(pre.len(), grad_out.len());
+    /// Multiplies `grad` in place by the activation's derivative,
+    /// turning the gradient with respect to the output into the gradient
+    /// with respect to the pre-activation values.
+    ///
+    /// The derivative is read off the activated output `out`, so the
+    /// pre-activation values need not be kept: `max(0, x) > 0` exactly
+    /// when `x > 0` (NaN included), and `out` is the very `tanh(x)` the
+    /// tanh derivative `1 − tanh²(x)` needs.
+    pub fn backward_in_place(&self, out: &[f64], grad: &mut [f64]) {
+        debug_assert_eq!(out.len(), grad.len());
         match self {
-            Activation::Relu => pre
-                .iter()
-                .zip(grad_out)
-                .map(|(&x, &g)| if x > 0.0 { g } else { 0.0 })
-                .collect(),
-            Activation::Tanh => pre
-                .iter()
-                .zip(grad_out)
-                .map(|(&x, &g)| {
-                    let t = x.tanh();
-                    g * (1.0 - t * t)
-                })
-                .collect(),
-            Activation::Identity => grad_out.to_vec(),
+            Activation::Relu => {
+                for (g, &y) in grad.iter_mut().zip(out) {
+                    *g = if y > 0.0 { *g } else { 0.0 };
+                }
+            }
+            Activation::Tanh => {
+                for (g, &t) in grad.iter_mut().zip(out) {
+                    *g *= 1.0 - t * t;
+                }
+            }
+            Activation::Identity => {}
         }
     }
 }
@@ -72,35 +74,41 @@ impl mtat_snapshot::Snap for Activation {
 mod tests {
     use super::*;
 
+    /// Runs `pre` through the activation and its derivative, returning
+    /// `(output, gradient)` for an upstream gradient `grad_out`.
+    fn run(act: Activation, pre: &[f64], grad_out: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let mut out = pre.to_vec();
+        act.forward_in_place(&mut out);
+        let mut grad = grad_out.to_vec();
+        act.backward_in_place(&out, &mut grad);
+        (out, grad)
+    }
+
     #[test]
     fn relu_forward_backward() {
-        let pre = [-1.0, 0.0, 2.0];
-        let out = Activation::Relu.forward(&pre);
+        let (out, grad) = run(Activation::Relu, &[-1.0, 0.0, 2.0], &[1.0, 1.0, 1.0]);
         assert_eq!(out, vec![0.0, 0.0, 2.0]);
-        let grad = Activation::Relu.backward(&pre, &[1.0, 1.0, 1.0]);
         assert_eq!(grad, vec![0.0, 0.0, 1.0]);
+        // NaN pre-activations pass no gradient, as `x > 0` would decide.
+        let (_, grad) = run(Activation::Relu, &[f64::NAN, -0.0], &[1.0, 1.0]);
+        assert_eq!(grad, vec![0.0, 0.0]);
     }
 
     #[test]
     fn tanh_forward_backward() {
-        let pre = [0.0, 1.0];
-        let out = Activation::Tanh.forward(&pre);
+        let (out, grad) = run(Activation::Tanh, &[0.0, 1.0], &[1.0, 1.0]);
         assert!((out[0] - 0.0).abs() < 1e-12);
         assert!((out[1] - 1.0_f64.tanh()).abs() < 1e-12);
-        let grad = Activation::Tanh.backward(&pre, &[1.0, 1.0]);
         assert!((grad[0] - 1.0).abs() < 1e-12);
         let t = 1.0_f64.tanh();
-        assert!((grad[1] - (1.0 - t * t)).abs() < 1e-12);
+        assert_eq!(grad[1], 1.0 * (1.0 - t * t));
     }
 
     #[test]
     fn identity_passthrough() {
-        let pre = [3.0, -4.0];
-        assert_eq!(Activation::Identity.forward(&pre), vec![3.0, -4.0]);
-        assert_eq!(
-            Activation::Identity.backward(&pre, &[0.5, 0.25]),
-            vec![0.5, 0.25]
-        );
+        let (out, grad) = run(Activation::Identity, &[3.0, -4.0], &[0.5, 0.25]);
+        assert_eq!(out, vec![3.0, -4.0]);
+        assert_eq!(grad, vec![0.5, 0.25]);
     }
 
     #[test]
@@ -108,9 +116,9 @@ mod tests {
         let eps = 1e-6;
         for act in [Activation::Relu, Activation::Tanh, Activation::Identity] {
             for &x in &[-0.7, 0.3, 1.5] {
-                let f = |v: f64| act.forward(&[v])[0];
+                let f = |v: f64| run(act, &[v], &[1.0]).0[0];
                 let numeric = (f(x + eps) - f(x - eps)) / (2.0 * eps);
-                let analytic = act.backward(&[x], &[1.0])[0];
+                let analytic = run(act, &[x], &[1.0]).1[0];
                 assert!(
                     (numeric - analytic).abs() < 1e-5,
                     "{act:?} at {x}: {numeric} vs {analytic}"

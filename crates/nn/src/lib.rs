@@ -8,19 +8,21 @@
 //! * [`linear::Linear`] — a fully-connected layer with gradient
 //!   accumulation and per-parameter Adam moments.
 //! * [`activation::Activation`] — ReLU / tanh / identity.
-//! * [`mlp::Mlp`] — a feed-forward stack with explicit forward caches so
-//!   gradients can flow back to the *inputs* (SAC's actor update needs
+//! * [`mlp::Mlp`] — a feed-forward stack run a mini-batch at a time,
+//!   with a reusable [`mlp::BatchCache`] so gradients can flow back to
+//!   the parameters and to the *inputs* (SAC's actor update needs
 //!   ∂Q/∂action).
 //! * [`optim::Adam`] — the Adam optimizer.
 //! * [`loss`] — mean-squared error.
 //!
 //! Everything is `f64`, deterministic under a seeded RNG, and unit-tested
-//! against finite-difference gradients.
+//! against finite-difference gradients. The batched kernels produce the
+//! same bits as one sample at a time would (DESIGN.md §4l).
 //!
 //! ## Example
 //!
 //! ```
-//! use mtat_nn::mlp::Mlp;
+//! use mtat_nn::mlp::{BatchCache, Mlp};
 //! use mtat_nn::activation::Activation;
 //! use mtat_nn::optim::Adam;
 //! use mtat_nn::loss;
@@ -28,13 +30,14 @@
 //! // Learn y = 2x on a tiny net.
 //! let mut net = Mlp::new(&[1, 16, 1], Activation::Relu, 42);
 //! let mut adam = Adam::new(1e-2);
+//! let mut cache = BatchCache::default();
 //! for step in 0..400 {
 //!     let x = [((step % 10) as f64) / 10.0];
 //!     let target = [2.0 * x[0]];
-//!     let (y, cache) = net.forward_cached(&x);
-//!     let grad = loss::mse_grad(&y, &target);
+//!     let y = net.forward_batch(&x, 1, &mut cache);
+//!     let grad = loss::mse_grad(y, &target);
 //!     net.zero_grad();
-//!     net.backward(&cache, &grad);
+//!     net.backward_batch(&mut cache, &grad);
 //!     net.adam_step(&mut adam);
 //! }
 //! let y = net.forward(&[0.35]);
@@ -49,5 +52,5 @@ pub mod optim;
 
 pub use activation::Activation;
 pub use linear::Linear;
-pub use mlp::Mlp;
+pub use mlp::{BatchCache, Mlp};
 pub use optim::Adam;

@@ -3,7 +3,12 @@
 //! SAC needs three things from its networks beyond plain inference:
 //! parameter gradients (critic regression), gradients *with respect to
 //! inputs* (the actor update differentiates Q(s, a) with respect to a),
-//! and soft target-network updates. [`Mlp`] provides all three.
+//! and soft target-network updates. [`Mlp`] provides all three, for a
+//! whole mini-batch at a time: [`Mlp::forward_batch`] records each
+//! layer's activated output in a caller-owned [`BatchCache`] whose
+//! buffers are reused from one batch to the next, and the backward
+//! passes read them back. Batches are feature-major, as in
+//! [`crate::linear`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,14 +26,21 @@ pub struct Mlp {
     hidden_act: Activation,
 }
 
-/// Intermediate values saved by [`Mlp::forward_cached`], needed to run
-/// [`Mlp::backward`].
-#[derive(Debug, Clone)]
-pub struct ForwardCache {
-    /// Input to each layer (`inputs[0]` is the network input).
-    inputs: Vec<Vec<f64>>,
-    /// Pre-activation output of each layer.
-    pre_acts: Vec<Vec<f64>>,
+/// Buffers of one batched pass through an [`Mlp`], kept for the
+/// backward pass and reused across batches (they only grow).
+#[derive(Debug, Clone, Default)]
+pub struct BatchCache {
+    /// Samples in the recorded batch.
+    n: usize,
+    /// `acts[0]` is the network input and `acts[l + 1]` the output of
+    /// layer `l` after its activation, each `dim × n`.
+    acts: Vec<Vec<f64>>,
+    /// Gradient with respect to the current layer's output.
+    grad: Vec<f64>,
+    /// Gradient with respect to the current layer's input.
+    grad_in: Vec<f64>,
+    /// Transposed output gradient for the parameter-gradient kernel.
+    gyt: Vec<f64>,
 }
 
 impl Mlp {
@@ -64,6 +76,11 @@ impl Mlp {
         self.layers.len()
     }
 
+    /// The linear layers, input first. For tests and diagnostics.
+    pub fn layers(&self) -> &[Linear] {
+        &self.layers
+    }
+
     /// L2 norm of all parameters (weights and biases across layers).
     ///
     /// A cheap divergence diagnostic for telemetry: SAC training that
@@ -88,70 +105,114 @@ impl Mlp {
         }
     }
 
-    /// Inference-only forward pass.
+    /// Inference-only forward pass for one input: the batch of one.
     ///
     /// # Panics
     ///
     /// Panics if `x.len() != self.in_dim()`.
     pub fn forward(&self, x: &[f64]) -> Vec<f64> {
-        let mut cur = x.to_vec();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            let pre = layer.forward(&cur);
-            cur = if i < last {
-                self.hidden_act.forward(&pre)
-            } else {
-                pre
-            };
-        }
-        cur
+        self.forward_batch(x, 1, &mut BatchCache::default())
+            .to_vec()
     }
 
-    /// Forward pass that records the per-layer inputs and pre-activations
-    /// needed by [`Self::backward`]. Returns `(output, cache)`.
-    pub fn forward_cached(&self, x: &[f64]) -> (Vec<f64>, ForwardCache) {
-        let mut cache = ForwardCache {
-            inputs: Vec::with_capacity(self.layers.len()),
-            pre_acts: Vec::with_capacity(self.layers.len()),
-        };
-        let mut cur = x.to_vec();
-        let last = self.layers.len() - 1;
-        for (i, layer) in self.layers.iter().enumerate() {
-            cache.inputs.push(cur.clone());
-            let pre = layer.forward(&cur);
-            cache.pre_acts.push(pre.clone());
-            cur = if i < last {
-                self.hidden_act.forward(&pre)
-            } else {
-                pre
-            };
-        }
-        (cur, cache)
-    }
-
-    /// Back-propagates `grad_out` through the cached forward pass,
-    /// accumulating parameter gradients and returning the gradient with
-    /// respect to the network input.
+    /// Forward pass over a batch of `n` inputs (`in_dim × n`,
+    /// feature-major), recording every layer's output in `cache` for the
+    /// backward passes. Returns the `out_dim × n` network output.
     ///
     /// # Panics
     ///
-    /// Panics if the cache does not match this network's shape.
-    pub fn backward(&mut self, cache: &ForwardCache, grad_out: &[f64]) -> Vec<f64> {
+    /// Panics if `n == 0` or `x.len() != self.in_dim() * n`.
+    pub fn forward_batch<'c>(&self, x: &[f64], n: usize, cache: &'c mut BatchCache) -> &'c [f64] {
+        assert_eq!(x.len(), self.in_dim() * n, "input dimension mismatch");
+        let depth = self.layers.len();
+        cache.n = n;
+        cache.acts.resize_with(depth + 1, Vec::new);
+        cache.acts[0].clear();
+        cache.acts[0].extend_from_slice(x);
+        for (l, layer) in self.layers.iter().enumerate() {
+            let (done, rest) = cache.acts.split_at_mut(l + 1);
+            let y = &mut rest[0];
+            y.resize(layer.out_dim() * n, 0.0);
+            layer.forward_batch(&done[l], n, y);
+            if l + 1 < depth {
+                self.hidden_act.forward_in_place(y);
+            }
+        }
+        &cache.acts[depth]
+    }
+
+    /// Back-propagates `grad_out` (`out_dim × n`) through the batch
+    /// recorded in `cache`, accumulating every layer's parameter
+    /// gradients in sample order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache does not hold a pass of this network or
+    /// `grad_out` does not match its batch.
+    pub fn backward_batch(&mut self, cache: &mut BatchCache, grad_out: &[f64]) {
+        self.load_grad(cache, grad_out);
+        for l in (0..self.layers.len()).rev() {
+            let BatchCache {
+                n, acts, grad, gyt, ..
+            } = cache;
+            self.layers[l].backward_params_batch(&acts[l], grad, *n, gyt);
+            if l > 0 {
+                self.step_down(l, cache);
+            }
+        }
+    }
+
+    /// Gradient of the batch's outputs, weighted by `grad_out`
+    /// (`out_dim × n`), with respect to the network input (`in_dim × n`).
+    /// Parameter gradients are left untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cache does not hold a pass of this network or
+    /// `grad_out` does not match its batch.
+    pub fn input_grad_batch<'c>(&self, cache: &'c mut BatchCache, grad_out: &[f64]) -> &'c [f64] {
+        self.load_grad(cache, grad_out);
+        for l in (1..self.layers.len()).rev() {
+            self.step_down(l, cache);
+        }
+        self.grad_to_layer_input(0, cache);
+        &cache.grad_in
+    }
+
+    /// Seeds the backward pass with the gradient of the network output.
+    fn load_grad(&self, cache: &mut BatchCache, grad_out: &[f64]) {
         assert_eq!(
-            cache.inputs.len(),
-            self.layers.len(),
+            cache.acts.len(),
+            self.layers.len() + 1,
             "cache depth mismatch"
         );
-        let last = self.layers.len() - 1;
-        let mut grad = grad_out.to_vec();
-        for i in (0..self.layers.len()).rev() {
-            // Undo the hidden activation (output layer is identity).
-            if i < last {
-                grad = self.hidden_act.backward(&cache.pre_acts[i], &grad);
-            }
-            grad = self.layers[i].backward(&cache.inputs[i], &grad);
-        }
-        grad
+        assert_eq!(
+            grad_out.len(),
+            self.out_dim() * cache.n,
+            "output gradient mismatch"
+        );
+        cache.grad.clear();
+        cache.grad.extend_from_slice(grad_out);
+    }
+
+    /// Moves the backward pass from layer `l` down to layer `l − 1`:
+    /// `cache.grad` turns from the gradient with respect to layer `l`'s
+    /// output into the gradient with respect to layer `l − 1`'s
+    /// pre-activation output.
+    fn step_down(&self, l: usize, cache: &mut BatchCache) {
+        self.grad_to_layer_input(l, cache);
+        std::mem::swap(&mut cache.grad, &mut cache.grad_in);
+        self.hidden_act
+            .backward_in_place(&cache.acts[l], &mut cache.grad);
+    }
+
+    /// Writes the gradient with respect to layer `l`'s input into
+    /// `cache.grad_in`, given the gradient with respect to its output in
+    /// `cache.grad`.
+    fn grad_to_layer_input(&self, l: usize, cache: &mut BatchCache) {
+        let layer = &self.layers[l];
+        cache.grad_in.resize(layer.in_dim() * cache.n, 0.0);
+        layer.backward_input_batch(&cache.grad, cache.n, &mut cache.grad_in);
     }
 
     /// Zeroes all accumulated parameter gradients.
@@ -233,25 +294,40 @@ mod tests {
         assert_eq!(net.forward(&[0.1, 0.2, 0.3]).len(), 2);
     }
 
-    #[test]
-    fn forward_and_forward_cached_agree() {
-        let net = Mlp::new(&[2, 5, 1], Activation::Tanh, 11);
-        let x = [0.4, -0.9];
-        let y1 = net.forward(&x);
-        let (y2, _) = net.forward_cached(&x);
-        assert_eq!(y1, y2);
+    /// Input gradient of the (scalar) output at one point.
+    fn input_grad_one(net: &Mlp, x: &[f64]) -> Vec<f64> {
+        let mut cache = BatchCache::default();
+        net.forward_batch(x, 1, &mut cache);
+        net.input_grad_batch(&mut cache, &[1.0]).to_vec()
+    }
+
+    /// One MSE training step on a batch of one.
+    fn train_one(net: &mut Mlp, adam: &mut Adam, x: f64, target: f64) {
+        let mut cache = BatchCache::default();
+        let y = net.forward_batch(&[x], 1, &mut cache).to_vec();
+        let grad = loss::mse_grad(&y, &[target]);
+        net.zero_grad();
+        net.backward_batch(&mut cache, &grad);
+        net.adam_step(adam);
     }
 
     #[test]
-    fn parameter_gradients_match_finite_difference() {
-        // Scalar-output net; loss = output itself.
-        let mut net = Mlp::new(&[2, 4, 1], Activation::Tanh, 3);
-        let x = [0.7, -0.2];
-        let (_, cache) = net.forward_cached(&x);
-        net.zero_grad();
-        let grad_in = net.backward(&cache, &[1.0]);
+    fn forward_and_forward_batch_agree() {
+        let net = Mlp::new(&[2, 5, 1], Activation::Tanh, 11);
+        let mut cache = BatchCache::default();
+        // Two samples, feature-major: columns (0.4, -0.9) and (0.1, 0.3).
+        let y = net.forward_batch(&[0.4, 0.1, -0.9, 0.3], 2, &mut cache);
+        assert_eq!(y[0], net.forward(&[0.4, -0.9])[0]);
+        assert_eq!(y[1], net.forward(&[0.1, 0.3])[0]);
+    }
 
-        // Finite-difference the *input* gradient.
+    #[test]
+    fn tanh_network_input_gradient_check() {
+        // Scalar-output net; loss = output itself.
+        let net = Mlp::new(&[2, 4, 1], Activation::Tanh, 3);
+        let x = [0.7, -0.2];
+        let grad_in = input_grad_one(&net, &x);
+
         let eps = 1e-6;
         for i in 0..2 {
             let mut xp = x;
@@ -269,11 +345,9 @@ mod tests {
 
     #[test]
     fn relu_network_input_gradient_check() {
-        let mut net = Mlp::new(&[3, 6, 1], Activation::Relu, 17);
+        let net = Mlp::new(&[3, 6, 1], Activation::Relu, 17);
         let x = [0.5, 0.25, -0.75];
-        let (_, cache) = net.forward_cached(&x);
-        net.zero_grad();
-        let grad_in = net.backward(&cache, &[1.0]);
+        let grad_in = input_grad_one(&net, &x);
         let eps = 1e-6;
         for i in 0..3 {
             let mut xp = x;
@@ -286,17 +360,24 @@ mod tests {
     }
 
     #[test]
+    fn input_grad_leaves_parameter_gradients_alone() {
+        let mut net = Mlp::new(&[2, 4, 1], Activation::Relu, 8);
+        let mut adam = Adam::new(1e-2);
+        let before = net.clone();
+        net.zero_grad();
+        let _ = input_grad_one(&net, &[0.3, 0.6]);
+        // An Adam step on zero gradients leaves parameters unchanged.
+        net.adam_step(&mut adam);
+        assert_eq!(net.forward(&[0.2, 0.1]), before.forward(&[0.2, 0.1]));
+    }
+
+    #[test]
     fn learns_linear_function() {
         let mut net = Mlp::new(&[1, 16, 1], Activation::Relu, 42);
         let mut adam = Adam::new(1e-2);
         for step in 0..600 {
-            let x = [((step % 10) as f64) / 10.0];
-            let target = [2.0 * x[0] + 0.5];
-            let (y, cache) = net.forward_cached(&x);
-            let grad = loss::mse_grad(&y, &target);
-            net.zero_grad();
-            net.backward(&cache, &grad);
-            net.adam_step(&mut adam);
+            let x = ((step % 10) as f64) / 10.0;
+            train_one(&mut net, &mut adam, x, 2.0 * x + 0.5);
         }
         for x in [0.15, 0.55, 0.85] {
             let y = net.forward(&[x])[0];
@@ -310,14 +391,18 @@ mod tests {
         // work. Full-batch gradient accumulation keeps training stable.
         let mut net = Mlp::new(&[1, 32, 32, 1], Activation::Tanh, 5);
         let mut adam = Adam::new(1e-2);
+        let mut cache = BatchCache::default();
         let xs: Vec<f64> = (0..41).map(|i| -1.0 + 2.0 * i as f64 / 40.0).collect();
+        let targets: Vec<f64> = xs.iter().map(|x| x * x).collect();
         for _ in 0..800 {
             net.zero_grad();
-            for &x in &xs {
-                let (y, cache) = net.forward_cached(&[x]);
-                let grad = loss::mse_grad(&y, &[x * x]);
-                net.backward(&cache, &grad);
-            }
+            let y = net.forward_batch(&xs, xs.len(), &mut cache).to_vec();
+            let grad: Vec<f64> = y
+                .iter()
+                .zip(&targets)
+                .map(|(&p, &t)| loss::mse_grad(&[p], &[t])[0])
+                .collect();
+            net.backward_batch(&mut cache, &grad);
             net.adam_step_batch(&mut adam, xs.len());
         }
         let mut worst: f64 = 0.0;
@@ -359,13 +444,7 @@ mod tests {
 
         let mut net = Mlp::new(&[1, 8, 1], Activation::Tanh, 21);
         let mut adam = Adam::new(1e-2);
-        let step = |net: &mut Mlp, adam: &mut Adam, x: f64| {
-            let (y, cache) = net.forward_cached(&[x]);
-            let grad = loss::mse_grad(&y, &[2.0 * x]);
-            net.zero_grad();
-            net.backward(&cache, &grad);
-            net.adam_step(adam);
-        };
+        let step = |net: &mut Mlp, adam: &mut Adam, x: f64| train_one(net, adam, x, 2.0 * x);
         for i in 0..50 {
             step(&mut net, &mut adam, (i % 7) as f64 / 7.0);
         }

@@ -7,7 +7,7 @@ use proptest::prelude::*;
 
 use mtat_nn::activation::Activation;
 use mtat_nn::loss;
-use mtat_nn::mlp::Mlp;
+use mtat_nn::mlp::{BatchCache, Mlp};
 use mtat_nn::optim::Adam;
 
 fn scalar_net(hidden: usize, act: Activation, seed: u64) -> Mlp {
@@ -28,11 +28,11 @@ proptest! {
         use_tanh in prop::bool::ANY,
     ) {
         let act = if use_tanh { Activation::Tanh } else { Activation::Relu };
-        let mut net = scalar_net(hidden, act, seed);
+        let net = scalar_net(hidden, act, seed);
         let x = [x0, x1, x2];
-        let (_, cache) = net.forward_cached(&x);
-        net.zero_grad();
-        let grad = net.backward(&cache, &[1.0]);
+        let mut cache = BatchCache::default();
+        net.forward_batch(&x, 1, &mut cache);
+        let grad = net.input_grad_batch(&mut cache, &[1.0]).to_vec();
 
         let eps = 1e-6;
         for i in 0..3 {
@@ -61,14 +61,15 @@ proptest! {
     ) {
         let mut net = scalar_net(8, Activation::Tanh, seed);
         let x = [0.3, -0.5, 0.9];
-        let (y0, cache) = net.forward_cached(&x);
+        let mut cache = BatchCache::default();
+        let y0 = net.forward_batch(&x, 1, &mut cache).to_vec();
         let loss0 = loss::mse(&y0, &[target]);
         if loss0 < 1e-9 {
             return Ok(()); // already at the optimum
         }
         let grad = loss::mse_grad(&y0, &[target]);
         net.zero_grad();
-        net.backward(&cache, &grad);
+        net.backward_batch(&mut cache, &grad);
         let mut adam = Adam::new(1e-3);
         net.adam_step(&mut adam);
         let y1 = net.forward(&x);

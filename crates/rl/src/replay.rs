@@ -67,16 +67,19 @@ impl ReplayBuffer {
         self.capacity
     }
 
-    /// Samples `n` transitions uniformly with replacement.
+    /// Samples `n` transitions uniformly with replacement, one index
+    /// draw per transition as the iterator advances.
     ///
     /// # Panics
     ///
     /// Panics if the buffer is empty.
-    pub fn sample<'a>(&'a self, rng: &mut StdRng, n: usize) -> Vec<&'a Transition> {
+    pub fn sample<'a>(
+        &'a self,
+        rng: &'a mut StdRng,
+        n: usize,
+    ) -> impl Iterator<Item = &'a Transition> + 'a {
         assert!(!self.buf.is_empty(), "cannot sample from an empty buffer");
-        (0..n)
-            .map(|_| &self.buf[rng.gen_range(0..self.buf.len())])
-            .collect()
+        (0..n).map(move |_| &self.buf[rng.gen_range(0..self.buf.len())])
     }
 }
 
@@ -169,7 +172,7 @@ mod tests {
             b.push(t(i as f64));
         }
         let mut rng = StdRng::seed_from_u64(0);
-        let samples = b.sample(&mut rng, 500);
+        let samples: Vec<&Transition> = b.sample(&mut rng, 500).collect();
         assert_eq!(samples.len(), 500);
         let distinct: std::collections::HashSet<u64> =
             samples.iter().map(|s| s.reward as u64).collect();

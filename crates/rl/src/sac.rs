@@ -13,14 +13,14 @@
 //! 4. **Targets** — soft-update `θᵗ ← τθ + (1−τ)θᵗ`.
 
 use mtat_nn::activation::Activation;
-use mtat_nn::mlp::Mlp;
+use mtat_nn::mlp::{BatchCache, Mlp};
 use mtat_nn::optim::Adam;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::env::Environment;
-use crate::policy::{squash_correction_grad, GaussianPolicy};
+use crate::policy::{squash_correction_grad, GaussianPolicy, PolicyBatch};
 use crate::replay::{ReplayBuffer, Transition};
 
 /// Hyperparameters for [`Sac`].
@@ -61,6 +61,8 @@ pub struct SacConfig {
 impl SacConfig {
     /// The paper's configuration: 3-dimensional state, scalar action,
     /// updates every 50 new transitions (§4), standard SAC defaults.
+    /// MTAT's partitioner (`mtat_core::ppm::lc`) overrides the cadence
+    /// to `update_every = 2`, in pretraining and online.
     pub fn paper(state_dim: usize, action_dim: usize) -> Self {
         Self {
             state_dim,
@@ -127,6 +129,38 @@ pub struct Sac {
     /// Policy entropy estimate `−E[log π]` from the last gradient round
     /// (NaN before the first). Diagnostic only, excluded from snapshots.
     last_entropy: f64,
+    /// Buffers the gradient rounds reuse; never part of the agent state.
+    scratch: Scratch,
+}
+
+/// The mini-batch buffers of a gradient round, feature-major
+/// (`dim × batch`, see [`mtat_nn::linear`]). They carry no state from one
+/// round to the next, so a clone or a restored agent starts empty.
+#[derive(Debug, Default)]
+struct Scratch {
+    /// Critic input `(s, a)`: state rows, then the replayed actions
+    /// (critic regression) or freshly sampled ones (actor step).
+    sa: Vec<f64>,
+    /// Critic input `(s′, a′)` for the soft Bellman targets.
+    next_sa: Vec<f64>,
+    reward: Vec<f64>,
+    done: Vec<f64>,
+    /// Soft Bellman target `y` per sample.
+    target: Vec<f64>,
+    q1: Vec<f64>,
+    q2: Vec<f64>,
+    /// Output gradient fed to a critic; also `dL/du` for the actor.
+    grad: Vec<f64>,
+    /// `∂Q₁/∂a` of the actor step.
+    dq1_da: Vec<f64>,
+    policy: PolicyBatch,
+    critic: BatchCache,
+}
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Self::default()
+    }
 }
 
 impl Sac {
@@ -159,6 +193,7 @@ impl Sac {
             updates_done: 0,
             last_critic_loss: f64::NAN,
             last_entropy: f64::NAN,
+            scratch: Scratch::default(),
             cfg,
         }
     }
@@ -185,8 +220,9 @@ impl Sac {
 
     /// Stochastic (exploration) action in `[-1, 1]^action_dim`.
     pub fn act(&mut self, state: &[f64]) -> Vec<f64> {
-        let (sample, _) = self.policy.sample(state, &mut self.rng);
-        sample.action
+        let batch = &mut self.scratch.policy;
+        self.policy.sample_batch(state, 1, &mut self.rng, batch);
+        batch.action.clone()
     }
 
     /// Deterministic (evaluation) action `tanh(μ(s))`.
@@ -210,82 +246,105 @@ impl Sac {
     }
 
     /// One SAC gradient round over a sampled mini-batch.
+    ///
+    /// Each network sees the whole batch at once through the batched
+    /// kernels of `mtat-nn`, which reproduce the per-sample arithmetic
+    /// bit for bit. The RNG is drawn in the per-sample order: the replay
+    /// indices, then the target-action noise, then the actor-step noise,
+    /// each sample by sample.
     pub fn update(&mut self) {
         let b = self.cfg.batch_size;
         if self.replay.is_empty() {
             return;
         }
-        let batch: Vec<Transition> = self
-            .replay
-            .sample(&mut self.rng, b)
-            .into_iter()
-            .cloned()
-            .collect();
+        let sd = self.cfg.state_dim;
         let alpha = self.alpha();
+        let sc = &mut self.scratch;
+        let sa_len = (sd + self.cfg.action_dim) * b;
+        sc.sa.resize(sa_len, 0.0);
+        sc.next_sa.resize(sa_len, 0.0);
+        sc.reward.clear();
+        sc.done.clear();
+        for (s, t) in self.replay.sample(&mut self.rng, b).enumerate() {
+            set_column(&mut sc.sa[..sd * b], b, s, &t.state);
+            set_column(&mut sc.sa[sd * b..], b, s, &t.action);
+            set_column(&mut sc.next_sa[..sd * b], b, s, &t.next_state);
+            sc.reward.push(t.reward);
+            sc.done.push(t.done as u8 as f64);
+        }
 
         // ---- Critic targets (no gradients) ----
-        let mut targets = Vec::with_capacity(b);
-        for t in &batch {
-            let (next_sample, _) = self.policy.sample(&t.next_state, &mut self.rng);
-            let xin = concat(&t.next_state, &next_sample.action);
-            let q1t = self.q1_target.forward(&xin)[0];
-            let q2t = self.q2_target.forward(&xin)[0];
-            let soft_q = q1t.min(q2t) - alpha * next_sample.log_prob;
-            let y = t.reward + self.cfg.gamma * (1.0 - t.done as u8 as f64) * soft_q;
-            targets.push(y);
+        self.policy
+            .sample_batch(&sc.next_sa[..sd * b], b, &mut self.rng, &mut sc.policy);
+        sc.next_sa[sd * b..].copy_from_slice(&sc.policy.action);
+        copy_into(
+            &mut sc.q1,
+            self.q1_target.forward_batch(&sc.next_sa, b, &mut sc.critic),
+        );
+        copy_into(
+            &mut sc.q2,
+            self.q2_target.forward_batch(&sc.next_sa, b, &mut sc.critic),
+        );
+        sc.target.clear();
+        for s in 0..b {
+            let soft_q = sc.q1[s].min(sc.q2[s]) - alpha * sc.policy.log_prob[s];
+            let y = sc.reward[s] + self.cfg.gamma * (1.0 - sc.done[s]) * soft_q;
+            sc.target.push(y);
         }
 
         // ---- Critic regression ----
-        self.q1.zero_grad();
-        self.q2.zero_grad();
+        for (q, qv) in [(&mut self.q1, &mut sc.q1), (&mut self.q2, &mut sc.q2)] {
+            copy_into(qv, q.forward_batch(&sc.sa, b, &mut sc.critic));
+            sc.grad.clear();
+            sc.grad
+                .extend(qv.iter().zip(&sc.target).map(|(&v, &y)| 2.0 * (v - y)));
+            q.zero_grad();
+            q.backward_batch(&mut sc.critic, &sc.grad);
+        }
         let mut critic_sq_err = 0.0;
-        for (t, &y) in batch.iter().zip(&targets) {
-            let xin = concat(&t.state, &t.action);
-            let (q1v, c1) = self.q1.forward_cached(&xin);
-            let (q2v, c2) = self.q2.forward_cached(&xin);
-            critic_sq_err += ((q1v[0] - y).powi(2) + (q2v[0] - y).powi(2)) / (2.0 * b as f64);
-            self.q1.backward(&c1, &[2.0 * (q1v[0] - y)]);
-            self.q2.backward(&c2, &[2.0 * (q2v[0] - y)]);
+        for ((&q1v, &q2v), &y) in sc.q1.iter().zip(&sc.q2).zip(&sc.target) {
+            critic_sq_err += ((q1v - y).powi(2) + (q2v - y).powi(2)) / (2.0 * b as f64);
         }
         self.last_critic_loss = critic_sq_err;
         self.q1.adam_step_batch(&mut self.q1_adam, b);
         self.q2.adam_step_batch(&mut self.q2_adam, b);
 
         // ---- Actor update through min(Q1, Q2) ----
-        // The critic backward pass below is used only to obtain ∂Q/∂a;
-        // the parameter gradients it accumulates are discarded (zeroed at
-        // the start of the next critic round).
+        // Only ∂Q/∂a is needed from the critics, so their backward pass
+        // computes input gradients and leaves parameter gradients alone.
         self.policy.zero_grad();
-        self.q1.zero_grad();
-        self.q2.zero_grad();
+        self.policy
+            .sample_batch(&sc.sa[..sd * b], b, &mut self.rng, &mut sc.policy);
         let mut mean_log_prob = 0.0;
-        for t in &batch {
-            let (sample, pcache) = self.policy.sample(&t.state, &mut self.rng);
-            mean_log_prob += sample.log_prob / b as f64;
-            let xin = concat(&t.state, &sample.action);
-            let (q1v, c1) = self.q1.forward_cached(&xin);
-            let (q2v, c2) = self.q2.forward_cached(&xin);
-            // dQmin/da via the chosen (smaller) critic.
-            let grad_in = if q1v[0] <= q2v[0] {
-                self.q1.backward(&c1, &[1.0])
-            } else {
-                self.q2.backward(&c2, &[1.0])
-            };
-            let dq_da = &grad_in[self.cfg.state_dim..];
-
-            // L = α·logπ − Qmin; see policy.rs for the chain rule.
-            let mut dl_du = Vec::with_capacity(self.cfg.action_dim);
-            let mut dl_dlogstd = Vec::with_capacity(self.cfg.action_dim);
-            for (k, &dq) in dq_da.iter().enumerate().take(self.cfg.action_dim) {
-                let a = sample.action[k];
-                let dlogp_du = squash_correction_grad(a);
-                let dq_du = dq * (1.0 - a * a);
-                dl_du.push(alpha * dlogp_du - dq_du);
-                dl_dlogstd.push(-alpha);
-            }
-            self.policy
-                .backward_sample(&pcache, &sample, &dl_du, &dl_dlogstd);
+        for &lp in &sc.policy.log_prob {
+            mean_log_prob += lp / b as f64;
         }
+        sc.sa[sd * b..].copy_from_slice(&sc.policy.action);
+        sc.grad.clear();
+        sc.grad.resize(b, 1.0);
+        copy_into(&mut sc.q1, self.q1.forward_batch(&sc.sa, b, &mut sc.critic));
+        let dq1 = self.q1.input_grad_batch(&mut sc.critic, &sc.grad);
+        copy_into(&mut sc.dq1_da, &dq1[sd * b..]);
+        copy_into(&mut sc.q2, self.q2.forward_batch(&sc.sa, b, &mut sc.critic));
+        let dq2_da = &self.q2.input_grad_batch(&mut sc.critic, &sc.grad)[sd * b..];
+
+        // L = α·logπ − Qmin, with dQmin/da through the smaller critic;
+        // see policy.rs for the chain rule.
+        sc.grad.clear();
+        for (j, (&a, (&dq1, &dq2))) in sc
+            .policy
+            .action
+            .iter()
+            .zip(sc.dq1_da.iter().zip(dq2_da))
+            .enumerate()
+        {
+            let s = j % b;
+            let dq = if sc.q1[s] <= sc.q2[s] { dq1 } else { dq2 };
+            let dlogp_du = squash_correction_grad(a);
+            let dq_du = dq * (1.0 - a * a);
+            sc.grad.push(alpha * dlogp_du - dq_du);
+        }
+        self.policy.backward_batch(&mut sc.policy, &sc.grad, -alpha);
         self.policy.adam_step_batch(&mut self.actor_adam, b);
 
         self.last_entropy = -mean_log_prob;
@@ -466,6 +525,7 @@ impl mtat_snapshot::Snap for Sac {
             // the encoding preserves checkpoint format v1 exactly.
             last_critic_loss: f64::NAN,
             last_entropy: f64::NAN,
+            scratch: Scratch::default(),
         })
     }
 }
@@ -475,6 +535,26 @@ fn concat(a: &[f64], b: &[f64]) -> Vec<f64> {
     v.extend_from_slice(a);
     v.extend_from_slice(b);
     v
+}
+
+/// Writes `v` into column `s` of the feature-major matrix `m`, whose rows
+/// hold `n` samples each.
+///
+/// # Panics
+///
+/// Panics if `v` does not have one entry per row of `m` (a transition
+/// whose dimensions do not match the agent's).
+fn set_column(m: &mut [f64], n: usize, s: usize, v: &[f64]) {
+    assert_eq!(m.len(), v.len() * n, "transition dimension mismatch");
+    for (row, &x) in m.chunks_exact_mut(n).zip(v) {
+        row[s] = x;
+    }
+}
+
+/// Overwrites `dst` with `src`, reusing its allocation.
+fn copy_into(dst: &mut Vec<f64>, src: &[f64]) {
+    dst.clear();
+    dst.extend_from_slice(src);
 }
 
 #[cfg(test)]
