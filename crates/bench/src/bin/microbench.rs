@@ -10,9 +10,16 @@
 //! * **rebin** — `AccessHistogram::add_rank` calls that each cross a
 //!   bin boundary, exercising the swap-remove + segment-push index
 //!   maintenance (ops/sec);
-//! * **hottest-scan** — `hottest_matching_into` over a populated
-//!   histogram with the residency-bitset predicate, the gather step of
-//!   every enforcement tick (scans/sec and pages/sec);
+//! * **hottest-scan / coldest-scan** — `hottest_matching_into` and
+//!   `coldest_matching_into` over a populated histogram with the
+//!   residency-bitset predicate, the gather step of every enforcement
+//!   tick (scans/sec, and pages/sec for the hottest scan);
+//! * **paper-density tick** — one workload of 17.2 K pages (33.6 GiB at
+//!   2 MiB) sampled at period 1009: one `sample_weighted_estimates_touched`
+//!   call (buffer reset, scatter and period scale-up; ns/event), the
+//!   `AccessHistogram::add_ranks` batch that records its ~7 K touched
+//!   ranks (ns/rank), and one `age` of the histogram with every page
+//!   nonzero (ns/rank);
 //! * **SAC** — one gradient round of a warmed paper-config agent (ms;
 //!   MTAT runs one every second partitioning decision and every second
 //!   pretraining step), and one greedy and one exploring action (µs;
@@ -30,6 +37,7 @@ use mtat_rl::sac::{Sac, SacConfig};
 use mtat_tiermem::histogram::{AccessHistogram, NUM_BINS};
 use mtat_tiermem::memory::{InitialPlacement, MemorySpec, TieredMemory};
 use mtat_tiermem::page::{PageId, PageRegion, Tier};
+use mtat_tiermem::sampler::{AccessSampler, TouchedSet, WeightTable};
 use mtat_tiermem::MIB;
 
 /// Minimum wall time per measurement; repeats until exceeded so quick
@@ -92,9 +100,10 @@ fn bench_rebin() -> f64 {
     ops as f64 / start.elapsed().as_secs_f64()
 }
 
-/// `hottest_matching_into` with the residency-bitset predicate over a
-/// zipf-populated histogram. Returns (scans/sec, candidate pages/sec).
-fn bench_hottest_scan() -> (f64, f64) {
+/// `hottest_matching_into` (`hottest`) or `coldest_matching_into` with
+/// the residency-bitset predicate over a zipf-populated histogram.
+/// Returns (scans/sec, candidate pages/sec).
+fn bench_scan(hottest: bool) -> (f64, f64) {
     let n: u32 = 16384;
     let spec = MemorySpec::new(2048 * MIB, 32768 * MIB, MIB).unwrap();
     let mut mem = TieredMemory::new(spec);
@@ -116,12 +125,98 @@ fn bench_hottest_scan() -> (f64, f64) {
     let mut pages = 0u64;
     let start = Instant::now();
     while start.elapsed().as_secs_f64() < MIN_SECS {
-        h.hottest_matching_into(&mut out, k, |p| !mem.is_fmem(p));
+        if hottest {
+            h.hottest_matching_into(&mut out, k, |p| !mem.is_fmem(p));
+        } else {
+            h.coldest_matching_into(&mut out, k, |p| mem.is_fmem(p));
+        }
         scans += 1;
         pages += out.len() as u64;
     }
     let secs = start.elapsed().as_secs_f64();
     (scans as f64 / secs, pages as f64 / secs)
+}
+
+/// Pages of the paper-density workload (a 33.6 GiB BE at 2 MiB pages).
+const PAPER_PAGES: usize = 17_200;
+
+/// The paper's sampling period.
+const PAPER_PERIOD: f64 = 1009.0;
+
+/// True accesses per tick that give the paper-density workload ~18 K
+/// sampled events, as a paper-scale BE receives.
+const PAPER_TRUE_PER_TICK: f64 = 18_000.0 * PAPER_PERIOD;
+
+/// Times the paper-density tick's sampling and recording kernels.
+/// Returns (sample ns/event, `add_ranks` ns/rank, touched ranks per
+/// batch, `age` ns/rank).
+fn bench_paper_tick() -> (f64, f64, f64, f64) {
+    // Zipf 0.8 spreads ~18 K events over ~7 K distinct pages.
+    let zipf: Vec<f64> = (0..PAPER_PAGES)
+        .map(|r| ((r + 1) as f64).powf(-0.8))
+        .collect();
+    let mass: f64 = zipf.iter().sum();
+    let weights: Vec<f64> = zipf.iter().map(|w| w / mass).collect();
+    let table = WeightTable::new(&weights).unwrap();
+    let mut sampler = AccessSampler::new(PAPER_PERIOD, 7).unwrap();
+    let region = PageRegion {
+        base: 0,
+        n_pages: PAPER_PAGES as u32,
+    };
+    let mut h = AccessHistogram::new(region);
+    let (mut est, mut touched, mut moved) =
+        (vec![0u64; PAPER_PAGES], TouchedSet::default(), Vec::new());
+    let (mut sample_secs, mut events) = (0.0, 0u64);
+    let (mut add_secs, mut ranks, mut batches) = (0.0, 0u64, 0u64);
+    let start = Instant::now();
+    while start.elapsed().as_secs_f64() < MIN_SECS {
+        let t = Instant::now();
+        sampler.sample_weighted_estimates_touched(
+            &mut est,
+            &mut touched,
+            PAPER_TRUE_PER_TICK,
+            &table,
+        );
+        sample_secs += t.elapsed().as_secs_f64();
+        let t = Instant::now();
+        h.add_ranks(touched.iter_ranks(), &est, &mut moved);
+        add_secs += t.elapsed().as_secs_f64();
+        let batch: Vec<usize> = touched.iter_ranks().collect();
+        events += batch
+            .iter()
+            .map(|&r| est[r] / PAPER_PERIOD as u64)
+            .sum::<u64>();
+        ranks += batch.len() as u64;
+        batches += 1;
+        // The paper ages every partitioning interval: 5 one-second ticks.
+        if batches % 5 == 0 {
+            h.age();
+        }
+    }
+    assert!(h.check_invariants().is_ok());
+
+    // Aging: every page nonzero, as at paper scale (~99.7 %).
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for r in 0..PAPER_PAGES as u32 {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        h.add_rank(r, (1 + x % 64) * PAPER_PERIOD as u64);
+    }
+    let (mut age_secs, mut ages) = (0.0, 0u64);
+    while age_secs < MIN_SECS {
+        let mut aged = h.clone();
+        let t = Instant::now();
+        aged.age();
+        age_secs += t.elapsed().as_secs_f64();
+        ages += 1;
+    }
+    (
+        sample_secs * 1e9 / events as f64,
+        add_secs * 1e9 / ranks as f64,
+        ranks as f64 / batches as f64,
+        age_secs * 1e9 / (ages * PAPER_PAGES as u64) as f64,
+    )
 }
 
 /// A paper-config agent whose replay buffer holds 512 plausible
@@ -182,18 +277,31 @@ fn main() {
     let rebin = bench_rebin();
     eprintln!("#   {rebin:.0} ops/s");
     eprintln!("# microbench: hottest-scan (k=1024, bitset predicate)...");
-    let (scans, scan_pages) = bench_hottest_scan();
+    let (scans, scan_pages) = bench_scan(true);
     eprintln!("#   {scans:.0} scans/s, {scan_pages:.0} pages/s");
+    eprintln!("# microbench: coldest-scan (k=1024, bitset predicate)...");
+    let (cold_scans, _) = bench_scan(false);
+    eprintln!("#   {cold_scans:.0} scans/s");
+    eprintln!("# microbench: paper-density sample, add_ranks and age (17.2 K pages)...");
+    let (sample_ns, add_ns, batch_ranks, age_ns) = bench_paper_tick();
+    eprintln!(
+        "#   sample {sample_ns:.2} ns/event, add_ranks {add_ns:.2} ns/rank \
+         ({batch_ranks:.0} ranks/batch), age {age_ns:.2} ns/rank"
+    );
     eprintln!("# microbench: SAC gradient round and actions (paper config)...");
     let (round_ms, greedy_us, explore_us) = bench_sac();
     eprintln!("#   round {round_ms:.3} ms, greedy {greedy_us:.2} us, exploring {explore_us:.2} us");
 
     let json = format!(
-        "{{\n  \"schema\": 2,\n  \
+        "{{\n  \"schema\": 3,\n  \
          \"migrate_batch_pages_per_sec\": {migrate:.0},\n  \
          \"rebin_ops_per_sec\": {rebin:.0},\n  \
          \"hottest_scan_per_sec\": {scans:.0},\n  \
          \"hottest_scan_pages_per_sec\": {scan_pages:.0},\n  \
+         \"coldest_scan_per_sec\": {cold_scans:.0},\n  \
+         \"sample_weighted_ns_per_event\": {sample_ns:.3},\n  \
+         \"hist_add_ranks_ns_per_rank\": {add_ns:.3},\n  \
+         \"hist_age_ns_per_rank\": {age_ns:.3},\n  \
          \"sac_update_round_ms\": {round_ms:.4},\n  \
          \"sac_act_deterministic_us\": {greedy_us:.3},\n  \
          \"sac_act_us\": {explore_us:.3}\n}}\n"

@@ -15,6 +15,9 @@ use crate::policy::WorkloadObs;
 #[derive(Debug, Clone)]
 pub struct HotnessTracker {
     hists: Vec<AccessHistogram>,
+    /// [`AccessHistogram::add_ranks`]'s scratch, shared by every
+    /// histogram.
+    moved: Vec<u32>,
 }
 
 impl HotnessTracker {
@@ -23,7 +26,10 @@ impl HotnessTracker {
         let hists = (0..mem.workload_count())
             .map(|i| AccessHistogram::new(mem.region(WorkloadId(i as u16))))
             .collect();
-        Self { hists }
+        Self {
+            hists,
+            moved: Vec::new(),
+        }
     }
 
     /// Number of tracked workloads.
@@ -51,22 +57,15 @@ impl HotnessTracker {
     /// carries one — ascending rank order, exactly the order (and thus
     /// the histogram bin-insertion order) of the dense front-to-back
     /// walk it replaces — and densely in the all-dirty fallback state.
+    /// Zero estimates change no count and no bin, so neither path needs
+    /// to skip them.
     pub fn record_tick(&mut self, workloads: &[WorkloadObs]) {
         for obs in workloads {
             let hist = &mut self.hists[obs.id.index()];
             if obs.touched.is_all() {
-                for (rank, &est) in obs.sampled.iter().enumerate() {
-                    if est > 0 {
-                        hist.add_rank(rank as u32, est);
-                    }
-                }
+                hist.add_ranks(0..obs.sampled.len(), &obs.sampled, &mut self.moved);
             } else {
-                for rank in obs.touched.iter_ranks() {
-                    let est = obs.sampled[rank];
-                    if est > 0 {
-                        hist.add_rank(rank as u32, est);
-                    }
-                }
+                hist.add_ranks(obs.touched.iter_ranks(), &obs.sampled, &mut self.moved);
             }
         }
     }
