@@ -23,22 +23,36 @@
 //! * **SAC** — one gradient round of a warmed paper-config agent (ms;
 //!   MTAT runs one every second partitioning decision and every second
 //!   pretraining step), and one greedy and one exploring action (µs;
-//!   one per decision, one per pretraining step).
+//!   one per decision, one per pretraining step);
+//! * **page table** — on the paper-scale memory (an FMem-first 33 GiB
+//!   workload and an all-SMem 35 GiB one): one page's
+//!   SMem→FMem round trip through `migrate` (ns), one 64-page
+//!   `exchange` round trip (µs), one tick of migration-engine budget
+//!   accounting (ns), and a count of the first workload's FMem pages
+//!   over its ~17 K-page residency (µs);
+//! * **BE profiling** — `profile_all` over the paper's four BEs at
+//!   32 GiB FMem, at 2 MiB and at 128 KiB pages (ms): the offline
+//!   profile every MTAT policy builds, and how its cost scales with the
+//!   page count.
 //!
 //! Writes `BENCH_micro.json` (override with `--out PATH`); CI uploads
 //! the file as an artifact next to the span traces. Absolute numbers
 //! are machine-dependent — the file is a provenance record, not a gate
 //! (the gate is `perf_baseline --check`).
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use mtat_core::ppm::profiler::profile_all;
 use mtat_rl::replay::Transition;
 use mtat_rl::sac::{Sac, SacConfig};
 use mtat_tiermem::histogram::{AccessHistogram, NUM_BINS};
 use mtat_tiermem::memory::{InitialPlacement, MemorySpec, TieredMemory};
-use mtat_tiermem::page::{PageId, PageRegion, Tier};
+use mtat_tiermem::migration::MigrationEngine;
+use mtat_tiermem::page::{PageId, PageRegion, Tier, WorkloadId};
 use mtat_tiermem::sampler::{AccessSampler, TouchedSet, WeightTable};
-use mtat_tiermem::MIB;
+use mtat_tiermem::{GIB, KIB, MIB};
+use mtat_workloads::be::BeSpec;
 
 /// Minimum wall time per measurement; repeats until exceeded so quick
 /// primitives still get a stable rate.
@@ -253,12 +267,63 @@ fn bench_sac() -> (f64, f64, f64) {
     let state = [0.4, 0.4, 0.7];
     let round = secs_per_call(|| agent.update());
     let greedy = secs_per_call(|| {
-        std::hint::black_box(agent.act_deterministic(std::hint::black_box(&state)));
+        black_box(agent.act_deterministic(black_box(&state)));
     });
     let explore = secs_per_call(|| {
-        std::hint::black_box(agent.act(std::hint::black_box(&state)));
+        black_box(agent.act(black_box(&state)));
     });
     (round * 1e3, greedy * 1e6, explore * 1e6)
+}
+
+/// The paper-scale memory with an FMem-first 33 GiB workload (which
+/// fills FMem) and an all-SMem 35 GiB one.
+fn paper_memory() -> TieredMemory {
+    let mut mem = TieredMemory::new(MemorySpec::paper_scale());
+    mem.register_workload(33 * GIB, InitialPlacement::FmemFirst)
+        .unwrap();
+    mem.register_workload(35 * GIB, InitialPlacement::AllSmem)
+        .unwrap();
+    mem
+}
+
+/// Returns (single-page `migrate` round trip ns, 64-page `exchange`
+/// round trip µs, engine budget accounting ns per tick, FMem residency
+/// count over ~17 K pages µs).
+fn bench_page_table() -> (f64, f64, f64, f64) {
+    let (lc, be) = (WorkloadId(0), WorkloadId(1));
+    let mut mem = paper_memory();
+    // The first workload fills FMem, so demote before promoting.
+    let page = mem.region(lc).page(0);
+    let roundtrip = secs_per_call(|| {
+        mem.migrate(page, Tier::SMem).unwrap();
+        mem.migrate(page, Tier::FMem).unwrap();
+    });
+    let demote: Vec<PageId> = (0..64).map(|r| mem.region(lc).page(r)).collect();
+    let promote: Vec<PageId> = (0..64).map(|r| mem.region(be).page(r)).collect();
+    let exchange = secs_per_call(|| {
+        mem.exchange(&promote, &demote).unwrap();
+        mem.exchange(&demote, &promote).unwrap();
+    });
+    assert!(mem.check_invariants().is_ok());
+    let mut engine = MigrationEngine::new(4.0 * GIB as f64, 2 * MIB, 10.0).unwrap();
+    let budget = secs_per_call(|| {
+        engine.begin_tick(1.0);
+        black_box(engine.try_consume_pages(512));
+        black_box(engine.remaining_tick_pages());
+    });
+    let scan = secs_per_call(|| {
+        black_box(mem.pages_in_tier(lc, Tier::FMem).count());
+    });
+    (roundtrip * 1e9, exchange * 1e6, budget * 1e9, scan * 1e6)
+}
+
+/// `profile_all` over the paper's four BEs at 32 GiB FMem and
+/// `page_size`, in ms.
+fn bench_be_profile(page_size: u64) -> f64 {
+    let specs = BeSpec::all_paper_workloads();
+    secs_per_call(|| {
+        black_box(profile_all(black_box(&specs), 32 * GIB, page_size));
+    }) * 1e3
 }
 
 fn main() {
@@ -291,9 +356,19 @@ fn main() {
     eprintln!("# microbench: SAC gradient round and actions (paper config)...");
     let (round_ms, greedy_us, explore_us) = bench_sac();
     eprintln!("#   round {round_ms:.3} ms, greedy {greedy_us:.2} us, exploring {explore_us:.2} us");
+    eprintln!("# microbench: page table and migration engine (paper scale)...");
+    let (roundtrip_ns, exchange_us, budget_ns, residency_us) = bench_page_table();
+    eprintln!(
+        "#   migrate round trip {roundtrip_ns:.1} ns, exchange 64 {exchange_us:.2} us, \
+         budget {budget_ns:.1} ns, residency scan {residency_us:.2} us"
+    );
+    eprintln!("# microbench: BE profiling (four paper BEs, 32 GiB FMem)...");
+    let profile_2mib = bench_be_profile(2 * MIB);
+    let profile_128kib = bench_be_profile(128 * KIB);
+    eprintln!("#   2 MiB pages {profile_2mib:.2} ms, 128 KiB pages {profile_128kib:.2} ms");
 
     let json = format!(
-        "{{\n  \"schema\": 3,\n  \
+        "{{\n  \"schema\": 4,\n  \
          \"migrate_batch_pages_per_sec\": {migrate:.0},\n  \
          \"rebin_ops_per_sec\": {rebin:.0},\n  \
          \"hottest_scan_per_sec\": {scans:.0},\n  \
@@ -304,7 +379,13 @@ fn main() {
          \"hist_age_ns_per_rank\": {age_ns:.3},\n  \
          \"sac_update_round_ms\": {round_ms:.4},\n  \
          \"sac_act_deterministic_us\": {greedy_us:.3},\n  \
-         \"sac_act_us\": {explore_us:.3}\n}}\n"
+         \"sac_act_us\": {explore_us:.3},\n  \
+         \"migrate_roundtrip_ns\": {roundtrip_ns:.1},\n  \
+         \"exchange_64_pages_us\": {exchange_us:.3},\n  \
+         \"engine_budget_ns_per_tick\": {budget_ns:.1},\n  \
+         \"residency_scan_17k_us\": {residency_us:.3},\n  \
+         \"be_profile_ms_2mib\": {profile_2mib:.3},\n  \
+         \"be_profile_ms_128kib\": {profile_128kib:.3}\n}}\n"
     );
     print!("{json}");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

@@ -12,10 +12,10 @@
 //! * [`ThrashCfg`] — a **thrash detector** over per-workload migration
 //!   ping-pong. Net residency is blind to a perfect promote↔demote
 //!   cycle, so the signal is built from the cumulative per-direction
-//!   [`MigrationFlow`](mtat_tiermem::MigrationFlow) counters, and it
-//!   watches both thrash shapes the simulator can produce: the
-//!   *within-interval* reversal ratio `2·min(p,d)/(p+d)` (refinement
-//!   ping-pong) and the *across-interval* net-flow sign flip
+//!   [`MigrationFlow`] counters, and it watches both thrash shapes the
+//!   simulator can produce: the *within-interval* reversal ratio
+//!   `2·min(p,d)/(p+d)` (refinement ping-pong) and the
+//!   *across-interval* net-flow sign flip
 //!   (partition-level slab ping-pong — Algorithm 3 promotes a slab one
 //!   interval and demotes it the next, which the within-interval ratio
 //!   cannot see because each interval's flow is one-directional). The

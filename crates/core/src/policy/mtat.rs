@@ -26,7 +26,7 @@ use mtat_obs::Obs;
 use mtat_rl::sac::{Sac, SacConfig};
 use mtat_tiermem::memory::TieredMemory;
 use mtat_tiermem::page::WorkloadId;
-use mtat_tiermem::GIB;
+use mtat_workloads::access::AccessPattern;
 use mtat_workloads::be::BeSpec;
 use mtat_workloads::lc::LcSpec;
 
@@ -203,16 +203,45 @@ struct ProvSnap {
     retried: u64,
 }
 
-/// Pretrained-agent cache keyed by (workload, cores, FMem, step,
-/// pretrain-steps). Each key maps to its own slot mutex so concurrent
-/// builders of the *same* configuration (e.g. parallel bench-matrix
-/// cells) block on one pretraining run instead of duplicating it, while
-/// distinct configurations still pretrain concurrently.
+/// Pretrained-agent cache keyed by every input of
+/// [`LcPartitioner::pretrained`] ([`agent_key`]). Each key maps to its
+/// own slot mutex so concurrent builders of the *same* configuration
+/// (e.g. parallel bench-matrix cells) block on one pretraining run
+/// instead of duplicating it, while distinct configurations still
+/// pretrain concurrently.
 type AgentSlot = Arc<Mutex<Option<Sac>>>;
 
 fn agent_cache() -> &'static Mutex<HashMap<String, AgentSlot>> {
     static CACHE: OnceLock<Mutex<HashMap<String, AgentSlot>>> = OnceLock::new();
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+}
+
+/// The agent-cache key: the whole [`LcSpec`], the FMem capacity in
+/// bytes, the bits of the Eq. (1) step bound, the pretraining steps and
+/// the seed — everything [`LcPartitioner::pretrained`] reads, floats by
+/// their bits. The exhaustive destructure turns a new `LcSpec` field
+/// into a compile error here instead of a silent key collision.
+fn agent_key(lc: &LcSpec, fmem_total: u64, max_step_bytes: f64, steps: usize, seed: u64) -> String {
+    let LcSpec {
+        name,
+        rss_bytes,
+        slo_secs,
+        cores,
+        cpu_secs,
+        accesses_per_req,
+        pattern,
+    } = lc;
+    let pattern = match *pattern {
+        AccessPattern::Uniform => "uniform".to_string(),
+        AccessPattern::Zipfian { exponent } => format!("zipf{:x}", exponent.to_bits()),
+    };
+    format!(
+        "{name:?}/r{rss_bytes}/slo{:x}/c{cores}/cpu{:x}/a{:x}/{pattern}/f{fmem_total}/s{:x}/p{steps}/seed{seed}",
+        slo_secs.to_bits(),
+        cpu_secs.to_bits(),
+        accesses_per_req.to_bits(),
+        max_step_bytes.to_bits(),
+    )
 }
 
 /// Returns the cached agent for `key`, pretraining it via `train` if
@@ -246,13 +275,12 @@ impl MtatPolicy {
         };
 
         let sizer = if cfg.use_rl {
-            let key = format!(
-                "{}/c{}/f{}/s{}/p{}",
-                lc_spec.name,
-                lc_spec.cores,
-                fmem_total / GIB,
-                max_step_bytes as u64 / GIB,
-                cfg.pretrain_steps
+            let key = agent_key(
+                lc_spec,
+                fmem_total,
+                max_step_bytes,
+                cfg.pretrain_steps,
+                cfg.seed,
             );
             let agent = cached_agent(&key, || {
                 LcPartitioner::pretrained(lc_spec, lc_cfg.clone(), cfg.pretrain_steps, cfg.seed)
@@ -980,6 +1008,87 @@ mod tests {
             sampled,
             touched: Default::default(),
             slo_violated: violated,
+        }
+    }
+
+    /// A policy gets the agent its own inputs pretrain, whatever the
+    /// process pretrained before it: the agent cache keys on every
+    /// input of `LcPartitioner::pretrained`, exactly.
+    #[test]
+    fn agent_cache_keys_on_every_pretraining_input() {
+        use mtat_snapshot::{Snap, SnapWriter};
+        use mtat_tiermem::{memory::MemorySpec, GIB, MIB};
+        const STEPS: usize = 96;
+        // Builds the policy, asserts it holds the agent its inputs
+        // pretrain, and returns that agent's bytes.
+        let agent_of = |lc: &LcSpec, sim: &SimConfig, seed: u64| {
+            let bytes = |agent: &Sac| {
+                let mut w = SnapWriter::new();
+                agent.snap(&mut w);
+                w.into_bytes()
+            };
+            let cfg = MtatConfig {
+                pretrain_steps: STEPS,
+                seed,
+                ..MtatConfig::lc_only()
+            };
+            let policy = MtatPolicy::new(cfg, sim, lc, &[]);
+            let lc_cfg = LcPartitionerConfig {
+                fmem_total: sim.mem.fmem_bytes(),
+                max_step_bytes: sim.migration_bw * sim.interval_secs / 2.0,
+                online_learning: true,
+                explore: false,
+            };
+            let want = bytes(LcPartitioner::pretrained(lc, lc_cfg, STEPS, seed).agent());
+            let got = bytes(policy.ppm.sac_agent().expect("RL sizer"));
+            assert!(
+                got == want,
+                "seed {seed}, fmem {}, bw {}, {lc:?}",
+                sim.mem.fmem_bytes(),
+                sim.migration_bw
+            );
+            want
+        };
+        // A name no other test pretrains, so this test owns its keys.
+        // Its RSS exceeds both FMem sizes below, so FMem caps the
+        // allocation.
+        let lc = LcSpec {
+            name: "agent-cache-key-probe".to_string(),
+            rss_bytes: 2 * GIB,
+            ..LcSpec::redis()
+        };
+        let sim = SimConfig::small_test();
+        let base = agent_of(&lc, &sim, 1);
+        // Each case changes one input the old key (name, cores, whole
+        // GiB of FMem and of step, steps) could not see, by enough to
+        // change the pretrained agent.
+        let fmem = SimConfig {
+            mem: MemorySpec::new(GIB + GIB / 2, 8 * GIB, MIB).expect("valid spec"),
+            ..sim.clone()
+        };
+        let step = SimConfig {
+            migration_bw: sim.migration_bw * 1.1,
+            ..sim.clone()
+        };
+        let with = |f: &dyn Fn(&mut LcSpec)| {
+            let mut s = lc.clone();
+            f(&mut s);
+            s
+        };
+        let cases = [
+            ("seed", lc.clone(), &sim, 2),
+            ("slo", with(&|s| s.slo_secs = 1e-6), &sim, 1),
+            ("cpu", with(&|s| s.cpu_secs *= 1e3), &sim, 1),
+            ("rss", with(&|s| s.rss_bytes /= 2), &sim, 1),
+            ("accesses", with(&|s| s.accesses_per_req *= 1e2), &sim, 1),
+            ("fmem", lc.clone(), &fmem, 1),
+            ("step", lc.clone(), &step, 1),
+        ];
+        for (what, lc, sim, seed) in &cases {
+            assert!(
+                agent_of(lc, sim, *seed) != base,
+                "changing {what} pretrains the same agent"
+            );
         }
     }
 

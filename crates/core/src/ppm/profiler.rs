@@ -27,14 +27,19 @@ impl BeProfile {
     /// Profiles `spec` from 0 GiB up to `total_fmem_bytes` in 1 GiB
     /// steps at `page_size` granularity.
     ///
+    /// Builds the workload's popularity once and reads every step off
+    /// its prefix sums, so the cost is O(pages + GiB steps): one `powf`
+    /// per page, then one lookup per step.
+    ///
     /// # Panics
     ///
     /// Panics if `total_fmem_bytes < 1 GiB`.
     pub fn measure(spec: &BeSpec, total_fmem_bytes: u64, page_size: u64) -> Self {
         let gbs = (total_fmem_bytes / GIB) as usize;
         assert!(gbs >= 1, "profile needs at least 1 GiB of FMem");
+        let pop = spec.popularity(spec.n_pages(page_size));
         let throughput: Vec<f64> = (0..=gbs)
-            .map(|g| spec.throughput_at_alloc(g as u64 * GIB, page_size))
+            .map(|g| spec.throughput_at_alloc(&pop, g as u64 * GIB, page_size))
             .collect();
         let perf_full = *throughput.last().expect("nonempty profile");
         Self {
@@ -87,10 +92,47 @@ pub fn profile_all(specs: &[BeSpec], total_fmem_bytes: u64, page_size: u64) -> V
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mtat_tiermem::MIB;
+    use mtat_tiermem::{KIB, MIB};
+    use mtat_workloads::access::Popularity;
 
     fn profile() -> BeProfile {
         BeProfile::measure(&BeSpec::sssp(), 32 * GIB, 2 * MIB)
+    }
+
+    /// The profile as it was computed per GiB step: the page count
+    /// `rss.div_ceil(page)`, `g · GiB / page` resident pages, and the
+    /// throughput at that prefix of a freshly built popularity. The
+    /// build is pure, so it is hoisted out of the step loop to keep
+    /// fine page sizes fast. Kept as the oracle for `measure`.
+    fn measure_per_gib(spec: &BeSpec, total_fmem_bytes: u64, page_size: u64) -> Vec<f64> {
+        let n_pages = spec.rss_bytes.div_ceil(page_size) as usize;
+        let pop = Popularity::new(spec.pattern, n_pages);
+        (0..=total_fmem_bytes / GIB)
+            .map(|g| spec.throughput(pop.fraction_top((g * GIB / page_size) as usize)))
+            .collect()
+    }
+
+    /// `measure` equals the per-step profile bit for bit on the paper's
+    /// four BEs and `heal_storm`'s 2 GiB SSSP, at every page size and
+    /// FMem capacity below.
+    #[test]
+    fn measure_is_bit_identical_to_per_gib_profile() {
+        let mut specs = BeSpec::all_paper_workloads();
+        let mut small_sssp = BeSpec::sssp();
+        small_sssp.rss_bytes = 2 * GIB;
+        specs.push(small_sssp);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        for spec in &specs {
+            for page in [MIB, 2 * MIB, 128 * KIB] {
+                for fmem in [GIB, 8 * GIB, 32 * GIB] {
+                    let got = BeProfile::measure(spec, fmem, page);
+                    let want = measure_per_gib(spec, fmem, page);
+                    let at = format!("{} page {page} fmem {fmem}", spec.name);
+                    assert_eq!(bits(&got.throughput), bits(&want), "{at}");
+                    assert_eq!(got.perf_full.to_bits(), want[want.len() - 1].to_bits());
+                }
+            }
+        }
     }
 
     #[test]

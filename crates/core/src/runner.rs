@@ -39,7 +39,7 @@ use mtat_tiermem::migration::MigrationEngine;
 use mtat_tiermem::page::Tier;
 use mtat_tiermem::sampler::AccessSampler;
 use mtat_tiermem::{audit_enabled, AuditViolation};
-use mtat_workloads::access::Popularity;
+use mtat_workloads::access::{Popularity, RawWeights};
 use mtat_workloads::be::BeSpec;
 use mtat_workloads::lc::LcSpec;
 use mtat_workloads::load::LoadPattern;
@@ -544,6 +544,14 @@ impl Experiment {
             .zip(&be_ids)
             .map(|(spec, &id)| spec.popularity(mem.region(id).len()))
             .collect();
+        // `Perf_full` (Eq. 3) of each BE, read from its set-up
+        // popularity before any scenario phase mutates it.
+        let be_perf_full: Vec<f64> = self
+            .bes
+            .iter()
+            .zip(&be_pops)
+            .map(|(spec, pop)| spec.throughput_at_alloc(pop, self.cfg.mem.fmem_bytes(), page_size))
+            .collect();
         // Fast path: register the weights with the page table so each
         // BE's FMem hit ratio is an incrementally maintained counter
         // (O(1) per migration) instead of an O(pages) rescan per tick,
@@ -573,6 +581,13 @@ impl Experiment {
         };
         let mut cur_phase: u32 = 0;
         let mut cur_pop_muts: Vec<Option<PopMutation>> = vec![None; self.bes.len()];
+        // Each BE's raw weights, computed at the first phase that needs
+        // a pattern and reused by every later phase with it; a run
+        // without a scenario never fills them.
+        let mut be_raw: Vec<RawWeights> = be_ids
+            .iter()
+            .map(|&id| RawWeights::new(mem.region(id).len()))
+            .collect();
 
         let mut sampler = AccessSampler::new(self.cfg.sampler_period, self.cfg.seed ^ 0x5A)?;
         let mut burst_rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xB0);
@@ -763,16 +778,13 @@ impl Experiment {
                         if want == cur_pop_muts[bi] {
                             continue;
                         }
-                        let n = mem.region(id).len();
-                        let pop = match want {
-                            Some(m) => m.materialize(spec.pattern, n).map_err(|e| {
-                                TierMemError::InvalidConfig {
-                                    what: "scenario popularity",
-                                    detail: e.to_string(),
-                                }
-                            })?,
-                            None => spec.popularity(n),
-                        };
+                        let pop = want
+                            .unwrap_or_default()
+                            .materialize(spec.pattern, &mut be_raw[bi])
+                            .map_err(|e| TierMemError::InvalidConfig {
+                                what: "scenario popularity",
+                                detail: e.to_string(),
+                            })?;
                         if !self.legacy_accounting {
                             mem.register_popularity(id, pop.weights())?;
                             be_tables[bi] = pop.to_weight_table();
@@ -1504,11 +1516,7 @@ impl Experiment {
                 .iter()
                 .map(|&o| if duration > 0.0 { o / duration } else { 0.0 })
                 .collect(),
-            be_perf_full: self
-                .bes
-                .iter()
-                .map(|b| b.perf_full(self.cfg.mem.fmem_bytes(), page_size))
-                .collect(),
+            be_perf_full,
             total_migration_bytes: engine.total_bytes_moved(),
             failed_moves: engine.failed_moves(),
             retried_moves: engine.retried_moves(),
@@ -1889,6 +1897,46 @@ mod tests {
         assert!(r.failed_moves > 0, "half the granted moves should fail");
         let r_clean = experiment(LoadPattern::Constant(0.3)).run(&mut StaticPolicy::smem_all());
         assert_eq!(r_clean.failed_moves, 0);
+    }
+
+    /// `be_perf_full` equals each BE's `Perf_full` as a fresh build of
+    /// its unmutated popularity computes it, bit for bit, on a plain run
+    /// and on runs whose scenario has rotated or re-skewed the
+    /// popularity by the last tick. `RunResult::digest` does not cover
+    /// the field, so this test does.
+    #[test]
+    fn be_perf_full_comes_from_the_unmutated_popularity() {
+        let cfg = SimConfig::small_test();
+        let (page, fmem) = (cfg.mem.page_size(), cfg.mem.fmem_bytes());
+        let mut pr = BeSpec::pagerank();
+        pr.rss_bytes = (1.3 * GIB as f64) as u64;
+        let bes = vec![small_be(), pr];
+        let fresh_perf_full = |spec: &BeSpec| {
+            let pop = Popularity::new(spec.pattern, spec.rss_bytes.div_ceil(page) as usize);
+            spec.throughput(pop.fraction_top((fmem / page) as usize))
+        };
+        let want: Vec<u64> = bes.iter().map(|b| fresh_perf_full(b).to_bits()).collect();
+        // thrash_rotate rotates from 30 s; zipf_phase_shift flattens
+        // the skew to 0.25 from 60 s.
+        for (scenario, secs) in [
+            (None, 10.0),
+            (Some("thrash_rotate"), 40.0),
+            (Some("zipf_phase_shift"), 70.0),
+        ] {
+            let mut exp = Experiment::new(
+                cfg.clone(),
+                small_lc(),
+                LoadPattern::Constant(0.5),
+                bes.clone(),
+            )
+            .with_duration(secs);
+            if let Some(name) = scenario {
+                exp = exp.with_scenario(mtat_workloads::scenario::adversarial(name).unwrap());
+            }
+            let r = exp.run(&mut StaticPolicy::fmem_all());
+            let got: Vec<u64> = r.be_perf_full.iter().map(|x| x.to_bits()).collect();
+            assert_eq!(got, want, "{scenario:?}");
+        }
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! concentrates the same total onto fewer shards. What a shard
 //! actually *receives* is the router's business ([`crate::routing`]).
 
-use mtat_workloads::access::{AccessPattern, Popularity, PopularityError};
+use mtat_workloads::access::{AccessPattern, PopularityError, RawWeights};
 use mtat_workloads::scenario::{BeSelector, Mutator, ScenarioError, ScenarioSpec};
 
 /// A fleet traffic-generation failure: a malformed spec or scenario.
@@ -180,7 +180,8 @@ impl TrafficSpec {
             None => None,
         };
 
-        let base_weights = Popularity::try_new(self.pattern, n_shards)?;
+        let mut raw = RawWeights::new(n_shards);
+        let base_weights = raw.popularity(self.pattern)?;
         let mut level = Vec::with_capacity(epochs);
         let mut demand = Vec::with_capacity(epochs);
         // Phases are piecewise-constant over epochs, so the (possibly
@@ -203,7 +204,7 @@ impl TrafficSpec {
                     let fresh = !matches!(&cached, Some((id, _)) if *id == phase.id);
                     if fresh {
                         let w = match &phase.be[0].pop {
-                            Some(m) => m.materialize(self.pattern, n_shards)?.weights().to_vec(),
+                            Some(m) => m.materialize(self.pattern, &mut raw)?.weights().to_vec(),
                             None => base_weights.weights().to_vec(),
                         };
                         cached = Some((phase.id, w));

@@ -64,8 +64,7 @@ impl Histogram {
     ///
     /// # Panics
     ///
-    /// Panics if `bits` is 0 or exceeds
-    /// [`MAX_SUB_BUCKET_BITS`](crate::bucket::MAX_SUB_BUCKET_BITS).
+    /// Panics if `bits` is 0 or exceeds [`MAX_SUB_BUCKET_BITS`].
     #[must_use]
     pub fn with_bits(bits: u32) -> Self {
         assert!(

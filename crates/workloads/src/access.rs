@@ -117,14 +117,7 @@ impl Popularity {
     /// [`PopularityError::BadZipfExponent`] for a negative or non-finite
     /// exponent.
     pub fn try_new(pattern: AccessPattern, n_pages: usize) -> Result<Self, PopularityError> {
-        if n_pages == 0 {
-            return Err(PopularityError::NoPages);
-        }
-        if let AccessPattern::Zipfian { exponent } = pattern {
-            if !(exponent.is_finite() && exponent >= 0.0) {
-                return Err(PopularityError::BadZipfExponent(exponent));
-            }
-        }
+        check_pattern(pattern, n_pages)?;
         let weights: Vec<f64> = (0..n_pages).map(|r| pattern.raw_weight(r)).collect();
         Self::from_weights(pattern, weights)
     }
@@ -201,8 +194,12 @@ impl Popularity {
     }
 
     /// Fraction of accesses absorbed by the hottest `k` pages (the *ideal*
-    /// FMem hit ratio if a policy keeps exactly those pages resident).
-    /// Saturates at 1.0 for `k >= n_pages`.
+    /// FMem hit ratio if a policy keeps exactly those pages resident):
+    /// the rounded prefix sum of the normalized weights. For
+    /// `k >= n_pages` that is the sum of every weight, which is 1.0 only
+    /// up to rounding: 0.99999999999999512 for the paper's XSBench at
+    /// 2 MiB pages, 1.0000000000000011 for a 2 GiB Zipf-0.8 workload at
+    /// 1 MiB pages.
     #[inline]
     pub fn fraction_top(&self, k: usize) -> f64 {
         let k = k.min(self.weights.len());
@@ -245,6 +242,78 @@ impl Popularity {
             Ok(i) => i,
             Err(i) => i.min(self.weights.len()),
         }
+    }
+}
+
+/// The typed-error checks shared by every popularity built from a
+/// pattern: at least one page, and a finite non-negative Zipf exponent.
+fn check_pattern(pattern: AccessPattern, n_pages: usize) -> Result<(), PopularityError> {
+    if n_pages == 0 {
+        return Err(PopularityError::NoPages);
+    }
+    if let AccessPattern::Zipfian { exponent } = pattern {
+        if !(exponent.is_finite() && exponent >= 0.0) {
+            return Err(PopularityError::BadZipfExponent(exponent));
+        }
+    }
+    Ok(())
+}
+
+/// The raw (unnormalized, hottest-first) weights of every pattern one
+/// workload has used, over its fixed page count.
+///
+/// Building a [`Popularity`] from its pattern costs one `powf` per
+/// page. An owner that rebuilds the same distribution — the runner at
+/// every scenario phase of a BE, the fleet's traffic generator at
+/// every phase of its affinity vector — keeps one `RawWeights` and
+/// computes each distinct pattern's weights once; a rebuild then
+/// copies them. The weights are exactly [`AccessPattern::raw_weight`]
+/// per rank, so every distribution built from them is bit-identical to
+/// one built by [`Popularity::try_new`].
+#[derive(Debug, Clone)]
+pub struct RawWeights {
+    n_pages: usize,
+    by_pattern: Vec<(AccessPattern, Vec<f64>)>,
+}
+
+impl RawWeights {
+    /// An empty set of weights over `n_pages` ranks.
+    pub fn new(n_pages: usize) -> Self {
+        Self {
+            n_pages,
+            by_pattern: Vec::new(),
+        }
+    }
+
+    /// `pattern`'s raw weights over ranks `0..n_pages`, hottest first,
+    /// computed on the first call for that pattern.
+    ///
+    /// # Errors
+    ///
+    /// As [`Popularity::try_new`]: [`PopularityError::NoPages`] or
+    /// [`PopularityError::BadZipfExponent`].
+    pub fn get(&mut self, pattern: AccessPattern) -> Result<&[f64], PopularityError> {
+        check_pattern(pattern, self.n_pages)?;
+        let i = match self.by_pattern.iter().position(|(p, _)| *p == pattern) {
+            Some(i) => i,
+            None => {
+                let w = (0..self.n_pages).map(|r| pattern.raw_weight(r)).collect();
+                self.by_pattern.push((pattern, w));
+                self.by_pattern.len() - 1
+            }
+        };
+        Ok(&self.by_pattern[i].1)
+    }
+
+    /// The unmutated distribution of `pattern`, bit-identical to
+    /// [`Popularity::try_new`]`(pattern, n_pages)`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::get`].
+    pub fn popularity(&mut self, pattern: AccessPattern) -> Result<Popularity, PopularityError> {
+        let weights = self.get(pattern)?.to_vec();
+        Popularity::from_weights(pattern, weights)
     }
 }
 

@@ -123,32 +123,39 @@ impl BeSpec {
         self.throughput(hit_ratio) * self.accesses_per_op
     }
 
+    /// Pages the resident set spans at `page_size` granularity, the
+    /// last one partial — the length of the region the runner registers
+    /// for it.
+    pub fn n_pages(&self, page_size: u64) -> usize {
+        self.rss_bytes.div_ceil(page_size) as usize
+    }
+
     /// Builds this workload's popularity distribution over `n_pages`.
     pub fn popularity(&self, n_pages: usize) -> Popularity {
         Popularity::new(self.pattern, n_pages)
     }
 
     /// The *ideal* hit ratio when the hottest pages filling `fmem_bytes`
-    /// are resident, at `page_size`-byte granularity. This is what a
-    /// perfect hotness-based placer converges to, and what offline
-    /// profiling (§4: "throughput under varying FMem allocations,
-    /// ranging from 0 GB in 1 GB increments") measures.
-    pub fn ideal_hit_ratio(&self, fmem_bytes: u64, page_size: u64) -> f64 {
-        let n_pages = self.rss_bytes.div_ceil(page_size) as usize;
-        let resident = (fmem_bytes / page_size) as usize;
-        self.popularity(n_pages).fraction_top(resident)
+    /// are resident, read from `pop`: this workload's popularity over
+    /// [`Self::n_pages`]`(page_size)` ranks, built once by the caller
+    /// and queried at every allocation it needs. This is what a perfect
+    /// hotness-based placer converges to, and what offline profiling
+    /// (§4: "throughput under varying FMem allocations, ranging from
+    /// 0 GB in 1 GB increments") measures.
+    ///
+    /// The value is [`Popularity::fraction_top`]'s rounded prefix sum,
+    /// so with the whole RSS resident it is 1.0 only up to rounding.
+    pub fn ideal_hit_ratio(&self, pop: &Popularity, fmem_bytes: u64, page_size: u64) -> f64 {
+        debug_assert_eq!(pop.n_pages(), self.n_pages(page_size));
+        pop.fraction_top((fmem_bytes / page_size) as usize)
     }
 
     /// Throughput with `fmem_bytes` of fast memory under ideal placement —
-    /// one row of the offline profile used by PP-M's BE partitioning.
-    pub fn throughput_at_alloc(&self, fmem_bytes: u64, page_size: u64) -> f64 {
-        self.throughput(self.ideal_hit_ratio(fmem_bytes, page_size))
-    }
-
-    /// `Perf_full` of Eq. (3): throughput with exclusive access to 100 %
-    /// of the FMem.
-    pub fn perf_full(&self, total_fmem_bytes: u64, page_size: u64) -> f64 {
-        self.throughput_at_alloc(total_fmem_bytes, page_size)
+    /// one row of the offline profile used by PP-M's BE partitioning, and
+    /// with all of FMem, `Perf_full` of Eq. (3). `pop` is as for
+    /// [`Self::ideal_hit_ratio`].
+    pub fn throughput_at_alloc(&self, pop: &Popularity, fmem_bytes: u64, page_size: u64) -> f64 {
+        self.throughput(self.ideal_hit_ratio(pop, fmem_bytes, page_size))
     }
 }
 
@@ -163,6 +170,11 @@ mod tests {
 
     fn all() -> Vec<BeSpec> {
         BeSpec::all_paper_workloads()
+    }
+
+    /// `spec`'s popularity over the pages it spans at `page`.
+    fn pop(spec: &BeSpec, page: u64) -> Popularity {
+        spec.popularity(spec.n_pages(page))
     }
 
     #[test]
@@ -197,9 +209,10 @@ mod tests {
         // yields an almost linear profile instead (checked separately).
         let page = 2 * MIB;
         for spec in [BeSpec::sssp(), BeSpec::bfs(), BeSpec::pagerank()] {
-            let t0 = spec.throughput_at_alloc(0, page);
-            let t8 = spec.throughput_at_alloc(8 * GIB, page);
-            let t16 = spec.throughput_at_alloc(16 * GIB, page);
+            let pop = pop(&spec, page);
+            let t0 = spec.throughput_at_alloc(&pop, 0, page);
+            let t8 = spec.throughput_at_alloc(&pop, 8 * GIB, page);
+            let t16 = spec.throughput_at_alloc(&pop, 16 * GIB, page);
             let first_half = t8 - t0;
             let second_half = t16 - t8;
             assert!(
@@ -214,9 +227,10 @@ mod tests {
     fn xsbench_profile_is_nearly_linear() {
         let page = 2 * MIB;
         let spec = BeSpec::xsbench();
-        let t0 = spec.throughput_at_alloc(0, page);
-        let t8 = spec.throughput_at_alloc(8 * GIB, page);
-        let t16 = spec.throughput_at_alloc(16 * GIB, page);
+        let pop = pop(&spec, page);
+        let t0 = spec.throughput_at_alloc(&pop, 0, page);
+        let t8 = spec.throughput_at_alloc(&pop, 8 * GIB, page);
+        let t16 = spec.throughput_at_alloc(&pop, 16 * GIB, page);
         let first_half = t8 - t0;
         let second_half = t16 - t8;
         let ratio = first_half / second_half;
@@ -230,8 +244,8 @@ mod tests {
         let page = 2 * MIB;
         let pr = BeSpec::pagerank();
         let xs = BeSpec::xsbench();
-        let pr_gain = pr.ideal_hit_ratio(4 * GIB, page);
-        let xs_gain = xs.ideal_hit_ratio(4 * GIB, page);
+        let pr_gain = pr.ideal_hit_ratio(&pop(&pr, page), 4 * GIB, page);
+        let xs_gain = xs.ideal_hit_ratio(&pop(&xs, page), 4 * GIB, page);
         assert!(pr_gain > 2.0 * xs_gain, "pr {pr_gain} xs {xs_gain}");
     }
 
@@ -239,7 +253,7 @@ mod tests {
     fn perf_full_caps_at_rss() {
         let page = 2 * MIB;
         let spec = BeSpec::xsbench(); // 31.7 GiB < 32 GiB FMem
-        let full = spec.perf_full(32 * GIB, page);
+        let full = spec.throughput_at_alloc(&pop(&spec, page), 32 * GIB, page);
         // With the whole RSS resident the hit ratio is 1.
         assert!((full - spec.throughput(1.0)).abs() < full * 1e-9);
     }
@@ -248,8 +262,9 @@ mod tests {
     fn ideal_hit_ratio_bounds() {
         let page = 2 * MIB;
         for spec in all() {
-            assert_eq!(spec.ideal_hit_ratio(0, page), 0.0);
-            let h_all = spec.ideal_hit_ratio(spec.rss_bytes + GIB, page);
+            let pop = pop(&spec, page);
+            assert_eq!(spec.ideal_hit_ratio(&pop, 0, page), 0.0);
+            let h_all = spec.ideal_hit_ratio(&pop, spec.rss_bytes + GIB, page);
             assert!((h_all - 1.0).abs() < 1e-9, "{}", spec.name);
         }
     }

@@ -43,7 +43,7 @@ use rand::{Rng, SeedableRng};
 
 use mtat_tiermem::faults::{FaultKind, FaultPlan};
 
-use crate::access::{AccessPattern, Popularity, PopularityError};
+use crate::access::{AccessPattern, Popularity, PopularityError, RawWeights};
 
 /// Hard cap on the leaked (dead) fraction of a workload's ranks — the
 /// live remainder must keep positive mass for renormalization.
@@ -224,11 +224,16 @@ impl PopMutation {
         self.exponent.is_none() && self.rotate_frac == 0.0 && self.dead_frac == 0.0
     }
 
-    /// Builds the mutated [`Popularity`] over `n_pages` ranks: start
+    /// Builds the mutated [`Popularity`] over `raw`'s ranks: start
     /// from the (possibly exponent-overridden) sorted pattern weights,
     /// kill the leaked prefix, then rotate so the hot head starts at
     /// rank `round(rotate_frac · n) mod n`. Rank identity is preserved
     /// — rank `r` is the same physical page across phases.
+    ///
+    /// The pattern weights come from `raw`, the caller's per-workload
+    /// [`RawWeights`], so a phase change copies them instead of
+    /// evaluating a `powf` per page; the result is bit-identical to
+    /// rotating and leaking freshly computed weights.
     ///
     /// # Errors
     ///
@@ -237,7 +242,7 @@ impl PopMutation {
     pub fn materialize(
         &self,
         base: AccessPattern,
-        n_pages: usize,
+        raw: &mut RawWeights,
     ) -> Result<Popularity, PopularityError> {
         let pattern = match self.exponent {
             Some(exponent) => {
@@ -249,22 +254,19 @@ impl PopMutation {
             None => base,
         };
         if self.is_identity() {
-            return Popularity::try_new(pattern, n_pages);
+            return raw.popularity(pattern);
         }
-        if n_pages == 0 {
-            return Err(PopularityError::NoPages);
-        }
-        let n = n_pages;
+        let sorted = raw.get(pattern)?;
+        let n = sorted.len();
         let dead = ((self.dead_frac.clamp(0.0, MAX_DEAD_FRAC) * n as f64).floor() as usize)
             .min(n.saturating_sub(1));
         let rot = ((self.rotate_frac.rem_euclid(1.0) * n as f64).round() as usize) % n;
-        let mut weights = vec![0.0; n];
-        for (r, w) in weights.iter_mut().enumerate() {
-            // Sorted-rank `src` lands at rank `r` after rotation by `rot`.
-            let src = (r + n - rot) % n;
-            if src >= dead {
-                *w = pattern.raw_weight(src);
-            }
+        // Sorted rank `s` lands at rank `(s + rot) mod n`, so the
+        // coldest `rot` ranks wrap around to the front.
+        let (head, tail) = sorted.split_at(n - rot);
+        let mut weights = [tail, head].concat();
+        for s in 0..dead {
+            weights[(s + rot) % n] = 0.0;
         }
         Popularity::from_weights(pattern, weights)
     }
@@ -1091,7 +1093,8 @@ mod tests {
             rotate_frac: 0.5,
             dead_frac: 0.0,
         };
-        let p = rot.materialize(base, 10).unwrap();
+        let mut raw = RawWeights::new(10);
+        let p = rot.materialize(base, &mut raw).unwrap();
         // The hot head moved to rank 5.
         assert!(p.weight(5) > p.weight(0));
         let leak = PopMutation {
@@ -1099,7 +1102,7 @@ mod tests {
             rotate_frac: 0.0,
             dead_frac: 0.3,
         };
-        let q = leak.materialize(base, 10).unwrap();
+        let q = leak.materialize(base, &mut raw).unwrap();
         assert_eq!(q.weight(0), 0.0);
         assert_eq!(q.weight(2), 0.0);
         assert!(q.weight(3) > 0.0);
@@ -1110,9 +1113,68 @@ mod tests {
     fn identity_mutation_reproduces_base() {
         let base = AccessPattern::Zipfian { exponent: 0.8 };
         let m = PopMutation::default();
-        let a = m.materialize(base, 64).unwrap();
+        let a = m.materialize(base, &mut RawWeights::new(64)).unwrap();
         let b = Popularity::new(base, 64);
         assert_eq!(a.weights(), b.weights());
+    }
+
+    /// The per-rank materialization `materialize` replaced: one
+    /// `raw_weight` (a `powf`) per rank, rotated and leaked in place.
+    /// Kept as the oracle for the raw-weight path.
+    fn materialize_per_rank(m: &PopMutation, base: AccessPattern, n: usize) -> Popularity {
+        let pattern = m
+            .exponent
+            .map_or(base, |exponent| AccessPattern::Zipfian { exponent });
+        if m.is_identity() {
+            return Popularity::new(pattern, n);
+        }
+        let dead = ((m.dead_frac.clamp(0.0, MAX_DEAD_FRAC) * n as f64).floor() as usize)
+            .min(n.saturating_sub(1));
+        let rot = ((m.rotate_frac.rem_euclid(1.0) * n as f64).round() as usize) % n;
+        let mut weights = vec![0.0; n];
+        for (r, w) in weights.iter_mut().enumerate() {
+            let src = (r + n - rot) % n;
+            if src >= dead {
+                *w = pattern.raw_weight(src);
+            }
+        }
+        Popularity::from_weights(pattern, weights).unwrap()
+    }
+
+    /// `materialize` from reused raw weights equals the per-rank build
+    /// bit for bit — every weight and every prefix sum — over
+    /// rotations, leaks and exponent overrides. One `RawWeights` per
+    /// page count serves the whole sequence, so an override that
+    /// reused another pattern's weights would show.
+    #[test]
+    fn materialize_from_raw_weights_is_bit_identical() {
+        let base = AccessPattern::Zipfian { exponent: 0.8 };
+        let exponents = [None, Some(1.3), None, Some(0.0), Some(0.8), Some(1.3)];
+        let rotations = [0.0, 0.25, 0.5, 0.37, 0.999, -0.3, 1.0];
+        let leaks = [0.0, 0.1, 0.5, 0.95];
+        for n in [1usize, 2, 7, 1000, 1024] {
+            let mut raw = RawWeights::new(n);
+            for &exponent in &exponents {
+                for &rotate_frac in &rotations {
+                    for &dead_frac in &leaks {
+                        let m = PopMutation {
+                            exponent,
+                            rotate_frac,
+                            dead_frac,
+                        };
+                        let got = m.materialize(base, &mut raw).unwrap();
+                        let want = materialize_per_rank(&m, base, n);
+                        assert_eq!(got.pattern(), want.pattern(), "{m:?} n={n}");
+                        let bits = |p: &Popularity| -> Vec<u64> {
+                            let w = p.weights().iter().map(|w| w.to_bits());
+                            w.chain((0..=n).map(|k| p.fraction_top(k).to_bits()))
+                                .collect()
+                        };
+                        assert_eq!(bits(&got), bits(&want), "{m:?} n={n}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -1192,7 +1254,7 @@ mod tests {
                         // Materialization must succeed for real page counts.
                         let pop = m.materialize(
                             AccessPattern::Zipfian { exponent: 0.8 },
-                            1024,
+                            &mut RawWeights::new(1024),
                         ).unwrap();
                         prop_assert_eq!(pop.n_pages(), 1024);
                     }

@@ -53,8 +53,9 @@ proptest! {
     fn be_ideal_hit_monotone(spec in any_be(), g1 in 0u64..40, g2 in 0u64..40) {
         let page = 2 << 20;
         let (lo, hi) = if g1 <= g2 { (g1, g2) } else { (g2, g1) };
-        let h_lo = spec.ideal_hit_ratio(lo * GIB, page);
-        let h_hi = spec.ideal_hit_ratio(hi * GIB, page);
+        let pop = spec.popularity(spec.n_pages(page));
+        let h_lo = spec.ideal_hit_ratio(&pop, lo * GIB, page);
+        let h_hi = spec.ideal_hit_ratio(&pop, hi * GIB, page);
         prop_assert!(h_lo <= h_hi + 1e-12);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&h_lo));
     }
