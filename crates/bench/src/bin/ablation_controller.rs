@@ -1,12 +1,14 @@
 //! Ablation: SAC reinforcement learning vs a proportional feedback
 //! controller for LC partition sizing (DESIGN.md §5.5).
 //!
-//! Rolls both sizers through the same scripted load trace on the
-//! analytic environment and prints their violation frequency and mean
-//! FMem usage (the two terms of the Eq.-2 reward), then benchmarks the
-//! per-decision cost of each.
+//! Rolls both sizers through the same scripted load trace (a 0.2–1.0
+//! trapezoid, three passes, each level held for two decisions) on the
+//! Redis latency model and reports their violation frequency and mean
+//! FMem usage, the two terms of the Eq.-2 reward.
+//!
+//! Output: TSV rows `sizer  violation_freq  mean_usage`.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use mtat_bench::header;
 use mtat_core::ppm::controller::{ControllerConfig, ProportionalController};
 use mtat_core::ppm::lc::{LcObservation, LcPartitioner, LcPartitionerConfig};
 use mtat_tiermem::GIB;
@@ -60,7 +62,7 @@ fn evaluate(mut decide: impl FnMut(&LcObservation) -> u64) -> (f64, f64) {
     )
 }
 
-fn bench_controller(c: &mut Criterion) {
+fn main() {
     let spec = LcSpec::redis();
 
     let mut rl = LcPartitioner::pretrained(
@@ -75,8 +77,6 @@ fn bench_controller(c: &mut Criterion) {
         21,
     );
     rl.set_target_bytes(FMEM / 2);
-    let (rl_viol, rl_usage) = evaluate(|obs| rl.decide(obs));
-
     let mut ctl = ProportionalController::new(ControllerConfig::new(
         FMEM,
         spec.rss_bytes,
@@ -84,24 +84,10 @@ fn bench_controller(c: &mut Criterion) {
         spec.slo_secs,
     ));
     ctl.set_target_bytes(FMEM / 2);
-    let (ctl_viol, ctl_usage) = evaluate(|obs| ctl.decide(obs));
 
-    eprintln!(
-        "[ablation_controller] sac: violations={rl_viol:.3} usage={rl_usage:.3} | proportional: violations={ctl_viol:.3} usage={ctl_usage:.3}"
-    );
-
-    let obs = LcObservation {
-        usage_ratio: 0.5,
-        access_ratio: 0.5,
-        access_count_norm: 0.6,
-        p99_secs: 5e-3,
-        violated: false,
-    };
-    let mut group = c.benchmark_group("lc_sizer_decide");
-    group.bench_function("sac", |b| b.iter(|| black_box(rl.decide(&obs))));
-    group.bench_function("proportional", |b| b.iter(|| black_box(ctl.decide(&obs))));
-    group.finish();
+    header(&["sizer", "violation_freq", "mean_usage"]);
+    let (viol, usage) = evaluate(|obs| rl.decide(obs));
+    println!("sac\t{viol:.3}\t{usage:.3}");
+    let (viol, usage) = evaluate(|obs| ctl.decide(obs));
+    println!("proportional\t{viol:.3}\t{usage:.3}");
 }
-
-criterion_group!(benches, bench_controller);
-criterion_main!(benches);

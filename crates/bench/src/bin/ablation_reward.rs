@@ -3,14 +3,15 @@
 //!
 //! The paper argues the binary penalty "enforces strict compliance".
 //! This ablation trains two agents on the same analytic environment —
-//! one with the paper's −1, one with a mild −0.2 — and evaluates the
-//! violation frequency and mean FMem usage of the learned policies.
-//! Criterion times the training step; quality is printed once.
+//! one with the paper's −1, one with a mild −0.2 — for 6000 steps each
+//! and evaluates the violation frequency and mean FMem usage of the
+//! learned policies over 800 greedy intervals.
+//!
+//! Output: TSV rows `penalty  violation_freq  mean_usage`.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use mtat_bench::header;
 use mtat_core::ppm::env::{LcEnvConfig, LcPartitionEnv};
 use mtat_rl::env::Environment;
-use mtat_rl::replay::Transition;
 use mtat_rl::sac::{Sac, SacConfig};
 use mtat_workloads::lc::LcSpec;
 
@@ -51,7 +52,6 @@ fn train_and_eval(penalty: f64, steps: usize) -> (f64, f64) {
     let mut agent = Sac::new(cfg, 11);
     agent.train(&mut env, steps);
 
-    // Evaluate: violation frequency and mean usage over 800 intervals.
     let mut state = env.reset();
     let mut violations = 0u32;
     let mut usage = 0.0;
@@ -68,39 +68,10 @@ fn train_and_eval(penalty: f64, steps: usize) -> (f64, f64) {
     (violations as f64 / n as f64, usage / n as f64)
 }
 
-fn bench_reward(c: &mut Criterion) {
-    for (label, penalty) in [("paper_minus1", -1.0), ("soft_minus0.2", -0.2)] {
+fn main() {
+    header(&["penalty", "violation_freq", "mean_usage"]);
+    for penalty in [-1.0, -0.2] {
         let (viol, usage) = train_and_eval(penalty, 6000);
-        eprintln!("[ablation_reward] {label}: violation_freq={viol:.3} mean_usage={usage:.3}");
+        println!("{penalty:.1}\t{viol:.3}\t{usage:.3}");
     }
-
-    // Criterion measures the marginal training-step cost (identical for
-    // both variants; reward shape does not change compute).
-    let mut group = c.benchmark_group("reward");
-    group.sample_size(10);
-    group.bench_function("train_step_with_update", |b| {
-        let spec = LcSpec::redis();
-        let mut env = LcPartitionEnv::new(spec.clone(), LcEnvConfig::paper_scale(&spec), 5);
-        let mut cfg = SacConfig::paper(3, 1);
-        cfg.update_every = 1;
-        cfg.warmup = 16;
-        let mut agent = Sac::new(cfg, 7);
-        let mut state = env.reset();
-        b.iter(|| {
-            let action = agent.act(&state);
-            let (next, reward, done) = env.step(&action);
-            agent.observe(Transition {
-                state: state.clone(),
-                action,
-                reward,
-                next_state: next.clone(),
-                done,
-            });
-            state = if done { env.reset() } else { next };
-        });
-    });
-    group.finish();
 }
-
-criterion_group!(benches, bench_reward);
-criterion_main!(benches);

@@ -33,12 +33,17 @@
 //! * **BE profiling** — `profile_all` over the paper's four BEs at
 //!   32 GiB FMem, at 2 MiB and at 128 KiB pages (ms): the offline
 //!   profile every MTAT policy builds, and how its cost scales with the
-//!   page count.
+//!   page count;
+//! * **yardstick** — a frozen loop of dependent pointer-chase loads
+//!   over a buffer larger than L2, each followed by a burst of integer
+//!   arithmetic that the next load waits for (ns per step, best of 5).
+//!   It times the machine, not the simulator: CI's benchmark gate
+//!   multiplies each workload's ticks/s by it, so one committed floor
+//!   holds on a faster or a more contended machine.
 //!
 //! Writes `BENCH_micro.json` (override with `--out PATH`); CI uploads
 //! the file as an artifact next to the span traces. Absolute numbers
-//! are machine-dependent — the file is a provenance record, not a gate
-//! (the gate is `perf_baseline --check`).
+//! are machine-dependent and, apart from the yardstick, not gated.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -326,6 +331,63 @@ fn bench_be_profile(page_size: u64) -> f64 {
     }) * 1e3
 }
 
+/// Slots of the yardstick's chase buffer: 8 MiB of `u32` links, larger
+/// than any L2.
+const YARDSTICK_SLOTS: usize = 1 << 21;
+
+/// Steps per timed yardstick pass.
+const YARDSTICK_STEPS: u32 = 1 << 19;
+
+/// The yardstick, in ns per step (best of 5 passes). Each step loads
+/// the next link of a single-cycle random permutation, then runs 24
+/// multiply-xorshift rounds on eight independent lanes seeded from it,
+/// whose combined result feeds the next load's address. So every step
+/// pays one cache-missing load and then a burst of arithmetic, back to
+/// back, in about equal shares on a 2.1 GHz Xeon VM: the two probes
+/// whose contrasting response to a busy shared machine
+/// `benchmark/README.md` describes. The lanes keep the multiplier busy
+/// instead of waiting on one serial chain, so, like the simulator's
+/// kernels, the loop slows when a co-tenant competes for execution
+/// units (a serial chain kept its speed on that VM while the other
+/// `microbench` kernels slowed by ~1.45×). The committed per-workload
+/// floors in `.github/bench_gate.json` are in units of this loop:
+/// changing it — buffer size, permutation, step count, lanes or rounds
+/// — re-bases every floor.
+fn bench_yardstick() -> f64 {
+    // Sattolo's shuffle: one cycle through every slot, so the chase
+    // never settles into a short cache-resident loop.
+    let mut next: Vec<u32> = (0..YARDSTICK_SLOTS as u32).collect();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    for i in (1..YARDSTICK_SLOTS).rev() {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        next.swap(i, (x % i as u64) as usize);
+    }
+    let mut best = f64::INFINITY;
+    for _ in 0..5 {
+        let start = Instant::now();
+        let mut p = 0u32;
+        for _ in 0..YARDSTICK_STEPS {
+            let link = next[p as usize];
+            let mut lanes: [u64; 8] = std::array::from_fn(|i| u64::from(link) ^ i as u64);
+            for _ in 0..24 {
+                for h in &mut lanes {
+                    *h = h.wrapping_mul(0x2545_f491_4f6c_dd1d);
+                    *h ^= *h >> 29;
+                }
+            }
+            let h = lanes.iter().fold(0, |acc, &h| acc ^ h);
+            // `h` is never all-ones in practice, but the compiler cannot
+            // know it: the next address waits for the arithmetic.
+            p = link ^ u32::from(h == u64::MAX);
+        }
+        black_box(p);
+        best = best.min(start.elapsed().as_secs_f64() * 1e9 / f64::from(YARDSTICK_STEPS));
+    }
+    best
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let out_path = args
@@ -366,9 +428,12 @@ fn main() {
     let profile_2mib = bench_be_profile(2 * MIB);
     let profile_128kib = bench_be_profile(128 * KIB);
     eprintln!("#   2 MiB pages {profile_2mib:.2} ms, 128 KiB pages {profile_128kib:.2} ms");
+    eprintln!("# microbench: yardstick (pointer chase + integer arithmetic)...");
+    let yardstick_ns = bench_yardstick();
+    eprintln!("#   {yardstick_ns:.2} ns/step");
 
     let json = format!(
-        "{{\n  \"schema\": 4,\n  \
+        "{{\n  \"schema\": 5,\n  \
          \"migrate_batch_pages_per_sec\": {migrate:.0},\n  \
          \"rebin_ops_per_sec\": {rebin:.0},\n  \
          \"hottest_scan_per_sec\": {scans:.0},\n  \
@@ -385,7 +450,8 @@ fn main() {
          \"engine_budget_ns_per_tick\": {budget_ns:.1},\n  \
          \"residency_scan_17k_us\": {residency_us:.3},\n  \
          \"be_profile_ms_2mib\": {profile_2mib:.3},\n  \
-         \"be_profile_ms_128kib\": {profile_128kib:.3}\n}}\n"
+         \"be_profile_ms_128kib\": {profile_128kib:.3},\n  \
+         \"yardstick_ns_per_step\": {yardstick_ns:.3}\n}}\n"
     );
     print!("{json}");
     std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("cannot write {out_path}: {e}"));

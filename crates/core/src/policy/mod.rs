@@ -64,8 +64,8 @@ pub struct WorkloadObs {
     /// scattered events into this tick. Consumers walk set bits (in
     /// ascending rank order, matching a dense front-to-back scan)
     /// instead of every page. The default is the conservative all-dirty
-    /// state, which preserves dense semantics for hand-built
-    /// observations and the legacy accounting path.
+    /// state, which preserves dense semantics for observations no
+    /// sampler pass has written.
     pub touched: mtat_tiermem::sampler::TouchedSet,
     /// Whether the last tick violated the SLO.
     pub slo_violated: bool,

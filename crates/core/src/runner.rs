@@ -36,7 +36,6 @@ use mtat_tiermem::faults::{FaultInjector, FaultKind, FaultPlan, TickFaults};
 use mtat_tiermem::latency;
 use mtat_tiermem::memory::TieredMemory;
 use mtat_tiermem::migration::MigrationEngine;
-use mtat_tiermem::page::Tier;
 use mtat_tiermem::sampler::AccessSampler;
 use mtat_tiermem::{audit_enabled, AuditViolation};
 use mtat_workloads::access::{Popularity, RawWeights};
@@ -73,14 +72,6 @@ pub struct Experiment {
     /// leaves every substrate hook untouched — the run is bit-identical
     /// to one without the fault layer.
     pub fault_plan: FaultPlan,
-    /// Use the pre-optimization O(total pages) per-tick accounting (full
-    /// FMem rescan per BE hit ratio, one Poisson draw per page) instead
-    /// of the incremental resident-popularity counters and batched
-    /// sampler. The two modes are statistically equivalent — the batched
-    /// sampler draws from the same distribution by Poisson splitting —
-    /// but consume the RNG stream differently. Retained for equivalence
-    /// tests and the `perf_baseline` speedup measurement.
-    pub legacy_accounting: bool,
     /// PP-M checkpointing configuration. `None` (the default) disables
     /// checkpoint capture; a crashed controller then restarts cold.
     pub checkpoints: Option<CheckpointCfg>,
@@ -402,7 +393,6 @@ impl Experiment {
             duration_secs: duration,
             lc_max_ref,
             fault_plan: FaultPlan::none(),
-            legacy_accounting: false,
             checkpoints: None,
             obs: None,
             slo_streak_dump: None,
@@ -416,13 +406,6 @@ impl Experiment {
     /// Overrides the run length.
     pub fn with_duration(mut self, secs: f64) -> Self {
         self.duration_secs = secs;
-        self
-    }
-
-    /// Switches the run to the legacy O(total pages) accounting paths
-    /// (see [`Self::legacy_accounting`]).
-    pub fn with_legacy_accounting(mut self) -> Self {
-        self.legacy_accounting = true;
         self
     }
 
@@ -518,11 +501,39 @@ impl Experiment {
     /// [`TierMemError::OutOfMemory`] when the configured workloads do
     /// not fit in the configured memory, and
     /// [`TierMemError::InvalidConfig`] for a malformed adversarial
-    /// scenario, a sampler period that is not a finite number of at
-    /// least one, or a migration bandwidth that is not positive and
-    /// finite — misconfigured experiments surface as typed errors so
-    /// a matrix harness can fail one cell without `catch_unwind`.
+    /// scenario, a tick length that is not positive and finite, a
+    /// duration that is not finite and non-negative, a tick count whose
+    /// record buffer cannot be reserved, a sampler period that is not a
+    /// finite number of at least one, or a migration bandwidth that is
+    /// not positive and finite — misconfigured experiments surface as
+    /// typed errors so a matrix harness can fail one cell without
+    /// `catch_unwind`.
     pub fn try_run(&self, policy: &mut dyn Policy) -> Result<RunResult, TierMemError> {
+        let tick_secs = self.cfg.tick_secs;
+        if !(tick_secs.is_finite() && tick_secs > 0.0) {
+            return Err(TierMemError::InvalidConfig {
+                what: "tick_secs",
+                detail: format!("must be positive and finite, got {tick_secs}"),
+            });
+        }
+        if !(self.duration_secs.is_finite() && self.duration_secs >= 0.0) {
+            return Err(TierMemError::InvalidConfig {
+                what: "duration_secs",
+                detail: format!(
+                    "must be finite and non-negative, got {}",
+                    self.duration_secs
+                ),
+            });
+        }
+        let n_ticks = (self.duration_secs / tick_secs).round() as u64;
+        let mut ticks: Vec<TickRecord> = Vec::new();
+        usize::try_from(n_ticks)
+            .ok()
+            .and_then(|n| ticks.try_reserve_exact(n).ok())
+            .ok_or_else(|| TierMemError::InvalidConfig {
+                what: "duration_secs",
+                detail: format!("{n_ticks} ticks of {tick_secs} s do not fit in memory"),
+            })?;
         let page_size = self.cfg.mem.page_size();
         let mut mem = TieredMemory::new(self.cfg.mem);
         let lc_id = mem.register_workload(
@@ -536,9 +547,9 @@ impl Experiment {
             );
         }
 
-        // Popularity distributions, hottest-first by rank. Mutable: an
-        // adversarial scenario swaps them at phase boundaries.
-        let mut be_pops: Vec<Popularity> = self
+        // Set-up popularity distributions, hottest-first by rank. An
+        // adversarial scenario re-registers new ones at phase boundaries.
+        let be_pops: Vec<Popularity> = self
             .bes
             .iter()
             .zip(&be_ids)
@@ -552,18 +563,15 @@ impl Experiment {
             .zip(&be_pops)
             .map(|(spec, pop)| spec.throughput_at_alloc(pop, self.cfg.mem.fmem_bytes(), page_size))
             .collect();
-        // Fast path: register the weights with the page table so each
-        // BE's FMem hit ratio is an incrementally maintained counter
-        // (O(1) per migration) instead of an O(pages) rescan per tick,
-        // and precompute the sampler's weight tables for batched draws.
-        let mut be_tables: Vec<mtat_tiermem::sampler::WeightTable> = if self.legacy_accounting {
-            Vec::new()
-        } else {
-            for (pop, &id) in be_pops.iter().zip(&be_ids) {
-                mem.register_popularity(id, pop.weights())?;
-            }
-            be_pops.iter().map(|p| p.to_weight_table()).collect()
-        };
+        // Register the weights with the page table so each BE's FMem hit
+        // ratio is an incrementally maintained counter (O(1) per
+        // migration) instead of an O(pages) rescan per tick, and
+        // precompute the sampler's weight tables for batched draws.
+        for (pop, &id) in be_pops.iter().zip(&be_ids) {
+            mem.register_popularity(id, pop.weights())?;
+        }
+        let mut be_tables: Vec<mtat_tiermem::sampler::WeightTable> =
+            be_pops.iter().map(|p| p.to_weight_table()).collect();
 
         // Adversarial scenario: compile the mutator set into a
         // deterministic piecewise-constant schedule up front, so a
@@ -701,12 +709,8 @@ impl Experiment {
         // Demand-driven telemetry: policies that never read per-page
         // sampled counts (e.g. FMEM_ALL) get the whole PEBS pass skipped
         // — the physics never read `sampled`, so outputs are identical.
-        // The legacy mode always samples, as the pre-optimization runner
-        // did.
-        let sample_pages = self.legacy_accounting || policy.wants_page_samples();
+        let sample_pages = policy.wants_page_samples();
 
-        let tick_secs = self.cfg.tick_secs;
-        let n_ticks = (self.duration_secs / tick_secs).round() as u64;
         let ticks_per_interval = self.cfg.ticks_per_interval();
         let sigma = self.cfg.burst_sigma;
 
@@ -742,7 +746,6 @@ impl Experiment {
         let mut crash_stopped = false;
         let mut sac_poison_was = false;
 
-        let mut ticks = Vec::with_capacity(n_ticks as usize);
         let mut lc_requests = 0.0;
         let mut lc_violated_requests = 0.0;
         let mut be_ops = vec![0.0; self.bes.len()];
@@ -785,11 +788,8 @@ impl Experiment {
                                 what: "scenario popularity",
                                 detail: e.to_string(),
                             })?;
-                        if !self.legacy_accounting {
-                            mem.register_popularity(id, pop.weights())?;
-                            be_tables[bi] = pop.to_weight_table();
-                        }
-                        be_pops[bi] = pop;
+                        mem.register_popularity(id, pop.weights())?;
+                        be_tables[bi] = pop.to_weight_table();
                         cur_pop_muts[bi] = want;
                     }
                     cur_phase = ph.id;
@@ -910,10 +910,8 @@ impl Experiment {
             }
             sac_poison_was = tf.sac_poison;
             // Accumulator drift perturbs the incrementally maintained
-            // popularity mass of the first BE workload each tick — the
-            // legacy path recomputes from scratch, so it has no
-            // incremental state to drift.
-            if faults_enabled && tf.accum_drift != 0.0 && !self.legacy_accounting {
+            // popularity mass of the first BE workload each tick.
+            if faults_enabled && tf.accum_drift != 0.0 {
                 if let Some(&bid) = be_ids.first() {
                     mem.debug_corrupt_popularity(bid, tf.accum_drift);
                 }
@@ -1051,34 +1049,20 @@ impl Experiment {
                 if sample_pages {
                     let n = o.sampled.len();
                     let per_page = lc_access_rate * tick_secs / n as f64;
-                    if self.legacy_accounting {
-                        for s in o.sampled.iter_mut() {
-                            let ev = sampler.sample_count(per_page);
-                            *s = sampler.estimate_from_samples(ev);
-                        }
-                    } else {
-                        sampler.sample_uniform_estimates_touched(
-                            &mut o.sampled,
-                            &mut o.touched,
-                            per_page,
-                        );
-                    }
+                    sampler.sample_uniform_estimates_touched(
+                        &mut o.sampled,
+                        &mut o.touched,
+                        per_page,
+                    );
                 }
             }
 
             // ---- BE performance ----
             let mut be_thr_tick = Vec::with_capacity(self.bes.len());
             for (bi, (spec, &id)) in self.bes.iter().zip(&be_ids).enumerate() {
-                let pop = &be_pops[bi];
-                let hit: f64 = if self.legacy_accounting {
-                    let base = mem.region(id).base;
-                    mem.pages_in_tier(id, Tier::FMem)
-                        .map(|p| pop.weight((p.0 - base) as usize))
-                        .sum()
-                } else {
-                    mem.resident_popularity(id)
-                        .expect("weights registered before the loop")
-                };
+                let hit: f64 = mem
+                    .resident_popularity(id)
+                    .expect("weights registered before the loop");
                 let pen = policy.smem_access_penalty(id);
                 let s_op = service_time(
                     spec.cpu_secs_per_op,
@@ -1101,13 +1085,7 @@ impl Experiment {
                 o.hit_ratio = hit;
                 o.access_rate = access_rate;
                 o.throughput = thr;
-                if self.legacy_accounting {
-                    for (rank, s) in o.sampled.iter_mut().enumerate() {
-                        let true_count = access_rate * tick_secs * pop.weight(rank);
-                        let ev = sampler.sample_count(true_count);
-                        *s = sampler.estimate_from_samples(ev);
-                    }
-                } else if sample_pages {
+                if sample_pages {
                     sampler.sample_weighted_estimates_touched(
                         &mut o.sampled,
                         &mut o.touched,
@@ -1816,6 +1794,32 @@ mod tests {
             assert!(
                 matches!(err, Some(TierMemError::InvalidConfig { what: w, .. }) if w == what),
                 "sampler_period {sampler_period}, migration_bw {migration_bw}: {err:?}"
+            );
+        }
+    }
+
+    /// A tick length that is not positive and finite, or a duration that
+    /// is not finite and non-negative, fails `try_run` with an
+    /// `InvalidConfig` naming the parameter, instead of panicking on the
+    /// tick buffer's reservation or running zero ticks as a success.
+    #[test]
+    fn bad_tick_length_or_duration_is_a_typed_error() {
+        for (tick_secs, duration_secs, what) in [
+            (0.0, 60.0, "tick_secs"),
+            (f64::NAN, 60.0, "tick_secs"),
+            (-1.0, 60.0, "tick_secs"),
+            (f64::INFINITY, 60.0, "tick_secs"),
+            (1e-300, 60.0, "duration_secs"),
+            (1.0, f64::INFINITY, "duration_secs"),
+            (1.0, f64::NAN, "duration_secs"),
+            (1.0, -1.0, "duration_secs"),
+        ] {
+            let mut exp = experiment(LoadPattern::Constant(0.5)).with_duration(duration_secs);
+            exp.cfg.tick_secs = tick_secs;
+            let err = exp.try_run(&mut StaticPolicy::fmem_all()).err();
+            assert!(
+                matches!(err, Some(TierMemError::InvalidConfig { what: w, .. }) if w == what),
+                "tick_secs {tick_secs}, duration_secs {duration_secs}: {err:?}"
             );
         }
     }

@@ -2,7 +2,8 @@
 //! runner:
 //!
 //! * registry aggregates (tick counters, the P99 latency histogram)
-//!   must agree with the run's own [`mtat_core::RunResult`] record;
+//!   must agree with the run's own [`mtat_core::RunResult`] record, and
+//!   a policy that reads no per-page samples must pay no sampler pass;
 //! * enabling observability must not perturb the simulation — runs
 //!   with telemetry on and off are bit-identical;
 //! * a forced plan-conservation audit violation must leave a flight
@@ -11,6 +12,7 @@
 //!   latencies and crash/restart events.
 
 use mtat_core::config::SimConfig;
+use mtat_core::policy::memtis::MemtisPolicy;
 use mtat_core::policy::statics::StaticPolicy;
 use mtat_core::policy::{Policy, SimState, WorkloadObs};
 use mtat_core::runner::{CheckpointCfg, Experiment};
@@ -53,7 +55,9 @@ fn exact_percentile(samples: &mut [u64], p: f64) -> u64 {
 /// record: one `runner.ticks` count per tick, one `runner.slo_violations`
 /// per violating tick, and a P99-latency histogram whose p99 sits within
 /// the configured relative-error bound of the exact nearest-rank p99
-/// over the per-tick values.
+/// over the per-tick values. FMEM_ALL never reads per-page samples, so
+/// its run records no sampler batch at all: the runner skips the PEBS
+/// pass. MEMTIS on the same experiment samples both workloads per tick.
 #[test]
 fn registry_matches_run_aggregates() {
     let obs = Obs::enabled();
@@ -63,6 +67,15 @@ fn registry_matches_run_aggregates() {
     assert_eq!(
         obs.counter_value("runner.ticks"),
         Some(r.ticks.len() as u64)
+    );
+    assert_eq!(obs.counter_value("tiermem.sampler.batches").unwrap_or(0), 0);
+    let sampled = Obs::enabled();
+    experiment(LoadPattern::fig7(), 120.0)
+        .with_obs(sampled.clone())
+        .run(&mut MemtisPolicy::new());
+    assert_eq!(
+        sampled.counter_value("tiermem.sampler.batches"),
+        Some(2 * r.ticks.len() as u64)
     );
     let violations = r.ticks.iter().filter(|t| t.lc_violated).count() as u64;
     assert_eq!(

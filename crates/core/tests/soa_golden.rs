@@ -124,10 +124,6 @@ fn scenario(name: &str, obs: Obs) -> u64 {
             paper_exp(7, 40.0).with_fault_plan(fault_plan(0xFA17, 40.0)),
             Box::new(MemtisPolicy::new()),
         ),
-        "memtis_legacy" => (
-            paper_exp(424242, 30.0).with_legacy_accounting(),
-            Box::new(MemtisPolicy::new()),
-        ),
         "mtat_nominal" => {
             let exp = small_exp(11, 60.0);
             let p = mtat_policy(&exp);
@@ -144,10 +140,9 @@ fn scenario(name: &str, obs: Obs) -> u64 {
 }
 
 /// (scenario, digest) pairs captured at the pre-refactor HEAD.
-const GOLDENS: [(&str, u64); 5] = [
+const GOLDENS: [(&str, u64); 4] = [
     ("memtis_nominal", 0x624529c79fcde9d5),
     ("memtis_faults", 0x870642431a0b3207),
-    ("memtis_legacy", 0x5dc539f6fa1f566a),
     ("mtat_nominal", 0x1c895a1b82512acc),
     ("mtat_faults", 0x5acfdb141f833c6c),
 ];

@@ -2,8 +2,8 @@
 //!
 //! The build environment vendors only API stubs for serde, so — as
 //! everywhere else in the workspace — serialization is written by hand.
-//! The float/string helpers here are shared with the bench bins
-//! (`chaos_matrix`, `perf_baseline`) so the workspace has exactly one
+//! The float/string helpers here are shared with the runner, the run
+//! statistics and `chaos_matrix`, so the workspace has exactly one
 //! JSON number formatter instead of a copy per binary.
 
 /// Formats a float for JSON: finite values with four decimal places

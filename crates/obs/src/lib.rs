@@ -20,7 +20,7 @@
 //! * [`Obs`] — the instrumentation facade threaded through every
 //!   layer. A disabled handle is a `None` and every call is an early
 //!   return past one branch, so the default-off path adds nothing
-//!   measurable to `perf_baseline`; an enabled handle shares one
+//!   measurable to a run's ticks/s; an enabled handle shares one
 //!   mutex-guarded registry+recorder across clones.
 //! * [`span`] — hierarchical phase spans (tick → sample → ppm-plan →
 //!   ppe-enforce → migrate, ...) with wall-ns durations and sim-time

@@ -223,9 +223,9 @@ fn round_to_u64(x: f64) -> u64 {
 /// cost becomes O(events), not O(pages).
 ///
 /// The conservative fallback is *all-dirty* ([`TouchedSet::default`]):
-/// a buffer whose touched-set provenance is unknown (legacy accounting,
-/// hand-built observations in tests) is treated as entirely dirty, so
-/// dense iteration semantics are preserved exactly.
+/// a buffer whose touched-set provenance is unknown (one no batched
+/// pass has written yet, or one built by hand in a test) is treated as
+/// entirely dirty, so dense iteration semantics are preserved exactly.
 #[derive(Debug)]
 pub struct TouchedSet {
     words: Vec<u64>,
@@ -264,13 +264,6 @@ impl TouchedSet {
     #[inline]
     pub fn is_all(&self) -> bool {
         self.all
-    }
-
-    /// Forces the dense all-dirty fallback (used by code paths that
-    /// write estimate buffers without tracking ranks).
-    #[inline]
-    pub fn set_all(&mut self) {
-        self.all = true;
     }
 
     /// Marks rank `i` touched. The set must have been sized by
