@@ -19,9 +19,17 @@
 //! The driver also implements the paper's *maximum load* measurement
 //! ([`Experiment::find_max_load`]): the largest constant load a policy
 //! can carry without SLO violations (Fig. 8, Table 3).
+//!
+//! A tick runs fixed stages in order, each a struct owning its state and
+//! each under its own span: `scenario` → `faults` → `physics` → `alerts`
+//! → `fault-view` → `policy` → `checkpoint` → `health` → `contention` →
+//! `record` → `publish`. An optional feature is an absent stage, not a
+//! branch; an empty fault plan's [`TickFaults::nominal`] effects change
+//! nothing, so the fault stage always runs.
 
 use std::collections::VecDeque;
 use std::path::PathBuf;
+use std::time::Instant;
 
 use mtat_obs::alert::{AlertRule, AlertState, BurnRateEngine};
 use mtat_obs::event::Severity;
@@ -29,22 +37,23 @@ use mtat_obs::export::{json_f64, json_string};
 use mtat_obs::registry::GaugeMerge;
 use mtat_obs::serve::TelemetryHub;
 use mtat_obs::Obs;
-use mtat_snapshot::{seal, unseal, CheckpointStore, SnapError};
+use mtat_rl::policy::standard_normal;
+use mtat_snapshot::{seal, CheckpointStore, SnapError};
 use mtat_tiermem::bandwidth::BandwidthModel;
 use mtat_tiermem::error::TierMemError;
 use mtat_tiermem::faults::{FaultInjector, FaultKind, FaultPlan, TickFaults};
-use mtat_tiermem::latency;
 use mtat_tiermem::memory::TieredMemory;
 use mtat_tiermem::migration::MigrationEngine;
-use mtat_tiermem::sampler::AccessSampler;
-use mtat_tiermem::{audit_enabled, AuditViolation};
-use mtat_workloads::access::{Popularity, RawWeights};
+use mtat_tiermem::sampler::{AccessSampler, WeightTable};
+use mtat_tiermem::{audit_enabled, latency, AuditViolation, WorkloadId};
+use mtat_tiermem::{FMEM_LATENCY_NS, SMEM_LATENCY_NS};
+use mtat_workloads::access::RawWeights;
 use mtat_workloads::be::BeSpec;
 use mtat_workloads::lc::LcSpec;
 use mtat_workloads::load::LoadPattern;
-use mtat_workloads::scenario::{PopMutation, ScenarioSchedule, ScenarioSpec};
+use mtat_workloads::scenario::{PopMutation, ScenarioPhase, ScenarioSchedule, ScenarioSpec};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::config::SimConfig;
 use crate::health::{Directive, HealthConfig, HealthMonitor, Incident};
@@ -68,9 +77,9 @@ pub struct Experiment {
     /// fractions of this. Defaults to the LC workload's sustainable load
     /// under FMEM_ALL.
     pub lc_max_ref: f64,
-    /// Fault-injection schedule. Defaults to [`FaultPlan::none`], which
-    /// leaves every substrate hook untouched — the run is bit-identical
-    /// to one without the fault layer.
+    /// Fault-injection schedule. Defaults to [`FaultPlan::none`], whose
+    /// every tick is [`mtat_tiermem::faults::TickFaults::nominal`] — the
+    /// run is bit-identical to one without the fault layer.
     pub fault_plan: FaultPlan,
     /// PP-M checkpointing configuration. `None` (the default) disables
     /// checkpoint capture; a crashed controller then restarts cold.
@@ -81,11 +90,6 @@ pub struct Experiment {
     /// Telemetry never feeds back into simulation physics — runs are
     /// bit-identical with observability on or off.
     pub obs: Option<Obs>,
-    /// Flight-recorder dump trigger on sustained SLO violation: after
-    /// this many *consecutive* violating ticks the recorder is dumped
-    /// once (re-arming only after the streak breaks). `None` (the
-    /// default) disables the trigger.
-    pub slo_streak_dump: Option<u32>,
     /// Self-healing health subsystem ([`crate::health`]). `None` (the
     /// default) keeps the pre-existing behavior: detections abort the
     /// run instead of triggering autonomous recovery.
@@ -183,192 +187,6 @@ impl CheckpointCfg {
     }
 }
 
-fn checkpoint_err(e: SnapError) -> TierMemError {
-    TierMemError::Checkpoint(e.to_string())
-}
-
-/// Executes the health monitor's directives for this tick's incidents.
-///
-/// Rollback semantics: the memory substrate is repaired in place first
-/// (the restored controller must read consistent accounting), then the
-/// last *known-good* checkpoint generation is restored — newer
-/// generations are marked suspect (renamed `.suspect` on disk, dropped
-/// from the in-memory ring) so neither this rollback nor a later crash
-/// restart can resurrect state captured after the fault began. With no
-/// known-good generation the controller restarts cold.
-#[allow(clippy::too_many_arguments)]
-fn handle_incidents(
-    incidents: &[Incident],
-    now: f64,
-    mon: &mut HealthMonitor,
-    policy: &mut dyn Policy,
-    mem: &mut TieredMemory,
-    ckpt_store: &mut Option<CheckpointStore>,
-    ckpt_ring: &mut VecDeque<(u64, Vec<u8>)>,
-    last_good_gen: &mut Option<u64>,
-    crash_stopped: &mut bool,
-    tele: &Obs,
-) -> Result<(), TierMemError> {
-    for incident in incidents {
-        let directive = mon.on_incident(now, incident);
-        if tele.is_enabled() {
-            tele.count("health.incidents", 1);
-            tele.event(
-                now,
-                "health",
-                Severity::Warn,
-                "incident",
-                &[
-                    ("kind", incident.label().to_string()),
-                    ("detail", incident.detail()),
-                    ("directive", format!("{directive:?}")),
-                ],
-            );
-        }
-        match directive {
-            Directive::Continue => {}
-            Directive::Repair => {
-                let fixed = mem.repair_accounting();
-                mon.note_repair(now, fixed);
-                if tele.is_enabled() {
-                    tele.count("health.repairs", 1);
-                }
-            }
-            Directive::Rollback => {
-                if tele.is_enabled() {
-                    tele.count("health.rollbacks", 1);
-                    tele.dump_flight_recorder("health rollback");
-                }
-                mem.repair_accounting();
-                let (generation, payload): (Option<u64>, Option<Vec<u8>>) = match ckpt_store {
-                    Some(store) => match *last_good_gen {
-                        Some(g) => {
-                            store.quarantine_newer_than(g).map_err(checkpoint_err)?;
-                            match store
-                                .load_latest_with_generation()
-                                .map_err(checkpoint_err)?
-                            {
-                                Some((got, p)) => (Some(got), Some(p)),
-                                None => (None, None),
-                            }
-                        }
-                        None => (None, None),
-                    },
-                    None => {
-                        match *last_good_gen {
-                            Some(g) => {
-                                while ckpt_ring.back().is_some_and(|(bg, _)| *bg > g) {
-                                    ckpt_ring.pop_back();
-                                }
-                            }
-                            None => ckpt_ring.clear(),
-                        }
-                        ckpt_ring
-                            .iter()
-                            .rev()
-                            .find_map(|(g, blob)| {
-                                unseal(blob).ok().map(|p| (Some(*g), Some(p.to_vec())))
-                            })
-                            .unwrap_or((None, None))
-                    }
-                };
-                policy.on_controller_crash();
-                policy.on_controller_restart(mem, payload.as_deref());
-                policy.after_rollback(now);
-                mon.on_rollback_complete(now, generation);
-                if tele.is_enabled() {
-                    tele.event(
-                        now,
-                        "health",
-                        Severity::Warn,
-                        "rollback",
-                        &[(
-                            "generation",
-                            generation.map_or_else(|| "cold".to_string(), |g| g.to_string()),
-                        )],
-                    );
-                }
-            }
-            Directive::Quarantine => {
-                mem.repair_accounting();
-                policy.enter_quarantine(now);
-                if tele.is_enabled() {
-                    tele.count("health.quarantines", 1);
-                    tele.event(now, "health", Severity::Error, "quarantine", &[]);
-                    tele.dump_flight_recorder("health quarantine");
-                }
-            }
-            Directive::CrashStop => {
-                if !*crash_stopped {
-                    policy.on_controller_crash();
-                    *crash_stopped = true;
-                    if tele.is_enabled() {
-                        tele.count("health.crash_stops", 1);
-                        tele.event(now, "health", Severity::Error, "crash_stop", &[]);
-                        tele.dump_flight_recorder("health crash-stop");
-                    }
-                }
-                mem.repair_accounting();
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Renders the `/status` JSON document published to the telemetry hub:
-/// run progress, the active scenario phase, the supervisor's degradation
-/// mode, health state, and currently firing alerts. Hand-rolled like the
-/// rest of the JSON surface — the schema is small and dependency-free.
-#[allow(clippy::too_many_arguments)]
-fn render_status(
-    policy: &str,
-    tick: u64,
-    n_ticks: u64,
-    now: f64,
-    duration: f64,
-    phase: Option<(u32, &str)>,
-    supervisor: Option<&'static str>,
-    health: &str,
-    firing: &[&str],
-    violated_ticks: u64,
-) -> String {
-    let progress = if n_ticks == 0 {
-        1.0
-    } else {
-        (tick + 1) as f64 / n_ticks as f64
-    };
-    let mut s = String::with_capacity(256);
-    s.push('{');
-    s.push_str(&format!("\"policy\":{},", json_string(policy)));
-    s.push_str(&format!("\"tick\":{tick},\"ticks_total\":{n_ticks},"));
-    s.push_str(&format!("\"t_secs\":{},", json_f64(now)));
-    s.push_str(&format!("\"duration_secs\":{},", json_f64(duration)));
-    s.push_str(&format!("\"progress\":{},", json_f64(progress)));
-    match phase {
-        Some((id, label)) => s.push_str(&format!(
-            "\"scenario_phase\":{{\"id\":{id},\"label\":{}}},",
-            json_string(label)
-        )),
-        None => s.push_str("\"scenario_phase\":null,"),
-    }
-    match supervisor {
-        Some(mode) => s.push_str(&format!("\"supervisor_mode\":{},", json_string(mode))),
-        None => s.push_str("\"supervisor_mode\":null,"),
-    }
-    s.push_str(&format!("\"health\":{},", json_string(health)));
-    s.push_str("\"alerts_firing\":[");
-    for (i, name) in firing.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        s.push_str(&json_string(name));
-    }
-    s.push_str("],");
-    s.push_str(&format!("\"violated_ticks\":{violated_ticks}"));
-    s.push('}');
-    s
-}
-
 impl Experiment {
     /// Creates an experiment. Duration defaults to the load pattern's
     /// length (or 240 s for open-ended patterns).
@@ -395,7 +213,6 @@ impl Experiment {
             fault_plan: FaultPlan::none(),
             checkpoints: None,
             obs: None,
-            slo_streak_dump: None,
             health: None,
             scenario: None,
             hub: None,
@@ -431,14 +248,6 @@ impl Experiment {
     /// `MTAT_OBS` (see [`Experiment::obs`]).
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = Some(obs);
-        self
-    }
-
-    /// Arms the sustained-SLO-violation flight-recorder dump: after
-    /// `ticks` consecutive violating ticks the recorder is dumped once
-    /// (see [`Experiment::slo_streak_dump`]).
-    pub fn with_slo_streak_dump(mut self, ticks: u32) -> Self {
-        self.slo_streak_dump = Some(ticks);
         self
     }
 
@@ -547,69 +356,33 @@ impl Experiment {
             );
         }
 
-        // Set-up popularity distributions, hottest-first by rank. An
-        // adversarial scenario re-registers new ones at phase boundaries.
-        let be_pops: Vec<Popularity> = self
-            .bes
-            .iter()
-            .zip(&be_ids)
-            .map(|(spec, &id)| spec.popularity(mem.region(id).len()))
-            .collect();
-        // `Perf_full` (Eq. 3) of each BE, read from its set-up
-        // popularity before any scenario phase mutates it.
-        let be_perf_full: Vec<f64> = self
-            .bes
-            .iter()
-            .zip(&be_pops)
-            .map(|(spec, pop)| spec.throughput_at_alloc(pop, self.cfg.mem.fmem_bytes(), page_size))
-            .collect();
-        // Register the weights with the page table so each BE's FMem hit
-        // ratio is an incrementally maintained counter (O(1) per
-        // migration) instead of an O(pages) rescan per tick, and
-        // precompute the sampler's weight tables for batched draws.
-        for (pop, &id) in be_pops.iter().zip(&be_ids) {
+        // Set-up popularity distributions, hottest-first by rank (an
+        // adversarial scenario re-registers new ones at phase
+        // boundaries). Each BE's `Perf_full` (Eq. 3) is read from its
+        // set-up popularity. The weights are registered with the page
+        // table so each BE's FMem hit ratio is an incrementally maintained
+        // counter (O(1) per migration) instead of an O(pages) rescan per
+        // tick, and the sampler's weight tables are precomputed for
+        // batched draws.
+        let mut be_perf_full = Vec::with_capacity(self.bes.len());
+        let mut be_tables = Vec::with_capacity(self.bes.len());
+        for (spec, &id) in self.bes.iter().zip(&be_ids) {
+            let pop = spec.popularity(mem.region(id).len());
+            let fmem = self.cfg.mem.fmem_bytes();
+            be_perf_full.push(spec.throughput_at_alloc(&pop, fmem, page_size));
             mem.register_popularity(id, pop.weights())?;
+            be_tables.push(pop.to_weight_table());
         }
-        let mut be_tables: Vec<mtat_tiermem::sampler::WeightTable> =
-            be_pops.iter().map(|p| p.to_weight_table()).collect();
-
-        // Adversarial scenario: compile the mutator set into a
-        // deterministic piecewise-constant schedule up front, so a
-        // malformed spec fails the run (and its matrix cell) cleanly
-        // before any tick executes.
-        let schedule: Option<ScenarioSchedule> = match &self.scenario {
-            Some(spec) => Some(
-                spec.compile(self.cfg.tick_secs, self.duration_secs, self.bes.len())
-                    .map_err(|e| TierMemError::InvalidConfig {
-                        what: "scenario",
-                        detail: e.to_string(),
-                    })?,
-            ),
-            None => None,
-        };
-        let mut cur_phase: u32 = 0;
-        let mut cur_pop_muts: Vec<Option<PopMutation>> = vec![None; self.bes.len()];
-        // Each BE's raw weights, computed at the first phase that needs
-        // a pattern and reused by every later phase with it; a run
-        // without a scenario never fills them.
-        let mut be_raw: Vec<RawWeights> = be_ids
-            .iter()
-            .map(|&id| RawWeights::new(mem.region(id).len()))
-            .collect();
+        let mut scenario = self
+            .scenario
+            .as_ref()
+            .map(|spec| Scenario::new(spec, self, &be_ids, &mem))
+            .transpose()?;
 
         let mut sampler = AccessSampler::new(self.cfg.sampler_period, self.cfg.seed ^ 0x5A)?;
-        let mut burst_rng = StdRng::seed_from_u64(self.cfg.seed ^ 0xB0);
         let mut engine =
             MigrationEngine::new(self.cfg.migration_bw, page_size, self.cfg.interval_secs)?;
-
-        // Fault layer. When the plan is empty no hook is ever touched,
-        // no observation is cloned, and the run is bit-identical to one
-        // without fault support.
-        let mut injector = FaultInjector::new(self.fault_plan.clone());
-        let faults_enabled = !injector.is_disabled();
-        if faults_enabled {
-            engine.set_fault_seed(self.fault_plan.seed);
-        }
+        let mut faults = Faults::new(&self.fault_plan, &mut engine, be_ids.first().copied());
 
         // Telemetry: an explicit handle wins, otherwise `MTAT_OBS`
         // decides. A disabled handle is inert (one `Option` check per
@@ -634,845 +407,119 @@ impl Experiment {
             );
         }
         policy.set_obs(&tele);
-        // Live telemetry plane: the hub receives rendered snapshots at
-        // interval boundaries plus a tail of every obs event. Server
-        // threads only ever read what is published here — publication
-        // is one-way, so serving cannot perturb the physics.
+        // The hub also tails every obs event into its SSE ring.
         if let Some(hub) = &self.hub {
             tele.attach_hub(hub);
         }
-        // SLO burn-rate alerting, fed from the same per-tick violation
-        // verdict the SLO accounting uses. Sim-time windows only: the
-        // transition log (timestamps included) replays bit-identically.
-        let mut alert_engine: Option<BurnRateEngine> = self.alerts.clone().map(BurnRateEngine::new);
-        let mut alerts_seen = 0usize;
-        let mut violated_ticks: u64 = 0;
+        let mut alerts = self.alerts.clone().map(Alerts::new);
         // Root span for the whole run; every per-tick span nests under
         // it. Closed by the guard when `try_run` returns.
         let _run_span = tele.span(0.0, "run");
-        let max_history = 1 + self
-            .fault_plan
-            .windows
-            .iter()
-            .map(|w| match w.kind {
-                FaultKind::TelemetryStale { ticks } => ticks as usize,
-                _ => 0,
-            })
-            .max()
-            .unwrap_or(0);
-        // Observation snapshots are kept only when some fault window can
-        // actually delay telemetry; the snapshot ring and the degraded
-        // policy view below reuse their buffers across ticks instead of
-        // cloning the observation vector (and every per-page `sampled`
-        // vector inside it) each tick.
-        let keep_history = faults_enabled && max_history > 1;
-        let mut obs_history: VecDeque<Vec<WorkloadObs>> = VecDeque::with_capacity(max_history);
-        let mut view_buf: Vec<WorkloadObs> = Vec::new();
 
-        // Initial observations.
-        let mut obs: Vec<WorkloadObs> = Vec::with_capacity(1 + self.bes.len());
-        obs.push(WorkloadObs {
-            id: lc_id,
-            class: WorkloadClass::Lc,
-            name: self.lc.name.clone(),
-            rss_bytes: self.lc.rss_bytes,
-            cores: self.lc.cores,
-            load_rps: 0.0,
-            p99_secs: 0.0,
-            slo_secs: self.lc.slo_secs,
-            hit_ratio: mem.residency(lc_id).fmem_usage_ratio(),
-            access_rate: 0.0,
-            throughput: 0.0,
-            sampled: vec![0; mem.region(lc_id).len()],
-            touched: Default::default(),
-            slo_violated: false,
-        });
-        for (spec, &id) in self.bes.iter().zip(&be_ids) {
-            obs.push(WorkloadObs {
-                id,
-                class: WorkloadClass::Be,
-                name: spec.name.clone(),
-                rss_bytes: spec.rss_bytes,
-                cores: spec.cores,
-                load_rps: 0.0,
-                p99_secs: 0.0,
-                slo_secs: f64::INFINITY,
-                hit_ratio: 0.0,
-                access_rate: 0.0,
-                throughput: 0.0,
-                sampled: vec![0; mem.region(id).len()],
-                touched: Default::default(),
-                slo_violated: false,
-            });
-        }
+        let mut obs = self.initial_obs(&mem, lc_id, &be_ids);
         policy.init(&mem, &obs);
-        // Demand-driven telemetry: policies that never read per-page
-        // sampled counts (e.g. FMEM_ALL) get the whole PEBS pass skipped
-        // — the physics never read `sampled`, so outputs are identical.
-        let sample_pages = policy.wants_page_samples();
-
+        let mut physics = Physics::new(self, be_tables, policy.wants_page_samples());
+        let mut ckpt = self
+            .checkpoints
+            .as_ref()
+            .map(Checkpoints::new)
+            .transpose()?;
+        let mut health = self.health.clone().map(Health::new);
+        let audit_on = audit_enabled() || health.is_some();
+        let publish = self.hub.clone().map(|hub| Publish {
+            hub,
+            n_ticks,
+            duration_secs: self.duration_secs,
+        });
         let ticks_per_interval = self.cfg.ticks_per_interval();
-        let sigma = self.cfg.burst_sigma;
 
-        // Checkpointing state. On-disk stores get atomic writes and
-        // generation pruning from `CheckpointStore`; the in-memory ring
-        // keeps the same sealed envelope so corruption detection and
-        // generation fallback behave identically.
-        let ckpt_cfg = self.checkpoints.as_ref();
-        let mut ckpt_store: Option<CheckpointStore> = match ckpt_cfg {
-            Some(ck) => match &ck.dir {
-                Some(dir) => Some(
-                    CheckpointStore::open(dir.clone(), ck.retain.max(1)).map_err(checkpoint_err)?,
-                ),
-                None => None,
-            },
-            None => None,
-        };
-        let mut ckpt_ring: VecDeque<(u64, Vec<u8>)> = VecDeque::new();
-        let mut ring_next_gen: u64 = 1;
-        let mut boundaries_seen: u64 = 0;
-        let mut probe_pending = ckpt_cfg.and_then(|ck| ck.restart_probe_at);
-        let mut ppm_was_down = false;
-        let audit_on = audit_enabled();
-
-        // Self-healing state. The monitor owns the health state machine
-        // and rollback budget; `last_good_gen` tracks the newest
-        // checkpoint generation captured while the system was verifiably
-        // healthy (newer generations are treated as suspect on
-        // rollback). `crash_stopped` models the ablation arm that kills
-        // the daemon permanently on first incident.
-        let mut monitor: Option<HealthMonitor> = self.health.clone().map(HealthMonitor::new);
-        let mut last_good_gen: Option<u64> = None;
-        let mut crash_stopped = false;
-        let mut sac_poison_was = false;
-
-        let mut lc_requests = 0.0;
-        let mut lc_violated_requests = 0.0;
-        let mut be_ops = vec![0.0; self.bes.len()];
-
-        // Bandwidth contention (lagged feedback): last tick's per-tier
-        // demand sets this tick's latency-inflation multipliers.
-        let bw = self.cfg.bandwidth;
-        let mut fmem_util = 0.0f64;
-        let mut smem_util = 0.0f64;
-
-        // Sustained-SLO-violation dump trigger state (satellite of the
-        // flight recorder): counts consecutive violating ticks and
-        // re-arms only once the streak breaks.
-        let mut slo_streak: u32 = 0;
-        let mut streak_dumped = false;
-
-        for tick_index in 0..n_ticks {
-            let now = tick_index as f64 * tick_secs;
+        for index in 0..n_ticks {
+            let now = index as f64 * tick_secs;
             let _tick_span = tele.span(now, "tick");
-
-            // ---- Adversarial scenario phase ----
-            // The scenario mutates the *workload*, not the policy's
-            // view: at a phase boundary the mutated BE popularity is
-            // materialized and re-registered (the incremental resident
-            // mass recomputes from current placement, so accounting
-            // stays exact), the sampler weight tables are rebuilt, and
-            // the new phase id is announced on the obs stream.
-            let phase = schedule.as_ref().map(|s| s.phase_at(tick_index));
-            if let Some(ph) = phase {
-                if ph.id != cur_phase {
-                    for (bi, (spec, &id)) in self.bes.iter().zip(&be_ids).enumerate() {
-                        let want = ph.be[bi].pop;
-                        if want == cur_pop_muts[bi] {
-                            continue;
-                        }
-                        let pop = want
-                            .unwrap_or_default()
-                            .materialize(spec.pattern, &mut be_raw[bi])
-                            .map_err(|e| TierMemError::InvalidConfig {
-                                what: "scenario popularity",
-                                detail: e.to_string(),
-                            })?;
-                        mem.register_popularity(id, pop.weights())?;
-                        be_tables[bi] = pop.to_weight_table();
-                        cur_pop_muts[bi] = want;
-                    }
-                    cur_phase = ph.id;
-                    if tele.is_enabled() {
-                        tele.count("runner.scenario_phases", 1);
-                        tele.event(
-                            now,
-                            "scenario",
-                            Severity::Info,
-                            "phase",
-                            &[
-                                ("id", ph.id.to_string()),
-                                ("label", ph.label.clone()),
-                                ("lc_load_mult", format!("{:.3}", ph.lc_load_mult)),
-                            ],
-                        );
-                    }
-                }
-            }
-
-            // ---- Fault effects for this tick ----
-            let tf = if faults_enabled {
-                let tf = injector.begin_tick(now);
-                sampler.set_fault_state(tf.sampler_blackout, tf.sampler_keep);
-                tf
-            } else {
-                TickFaults::nominal()
+            let mut t = Tick {
+                index,
+                now,
+                boundary: index > 0 && index % ticks_per_interval == 0,
+                phase: None,
+                tele: &tele,
             };
-            // A contention spike inflates both tiers' real latencies.
-            let (cont_fmem_util, cont_smem_util) = if faults_enabled {
-                (
-                    (fmem_util + tf.bandwidth_extra_util).min(1.0),
-                    (smem_util + tf.bandwidth_extra_util).min(1.0),
-                )
-            } else {
-                (fmem_util, smem_util)
-            };
-
-            // ---- PP-M crash/restart edges ----
-            // A `PpmCrash` fault models the user-space daemon dying
-            // while the in-kernel PP-E survives: the policy keeps
-            // enforcing its last plan but makes no new decisions. On
-            // recovery a fresh daemon reloads the newest checkpoint
-            // generation that passes verification (corrupt generations
-            // are skipped), or restarts cold when none exists.
-            if faults_enabled && !crash_stopped && tf.ppm_down != ppm_was_down {
-                if tf.ppm_down {
-                    policy.on_controller_crash();
-                    if tele.is_enabled() {
-                        tele.count("runner.ppm_crashes", 1);
-                        tele.event(now, "runner", Severity::Warn, "ppm_crash", &[]);
-                        tele.dump_flight_recorder("ppm crash");
-                    }
-                } else {
-                    let restore_t0 = std::time::Instant::now();
-                    let (generation, payload): (Option<u64>, Option<Vec<u8>>) = match &ckpt_store {
-                        Some(store) => match store
-                            .load_latest_with_generation()
-                            .map_err(checkpoint_err)?
-                        {
-                            Some((gen, p)) => (Some(gen), Some(p)),
-                            None => (None, None),
-                        },
-                        None => ckpt_ring
-                            .iter()
-                            .rev()
-                            .find_map(|(g, blob)| {
-                                unseal(blob).ok().map(|p| (Some(*g), Some(p.to_vec())))
-                            })
-                            .unwrap_or((None, None)),
-                    };
-                    if tele.is_enabled() {
-                        tele.count("runner.ppm_restarts", 1);
-                        tele.observe(
-                            "ckpt.restore_ns",
-                            u64::try_from(restore_t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                        );
-                        let source = match (&ckpt_store, &payload) {
-                            (_, None) => "cold",
-                            (Some(_), Some(_)) => "disk",
-                            (None, Some(_)) => "ring",
-                        };
-                        tele.event(
-                            now,
-                            "runner",
-                            Severity::Warn,
-                            "ppm_restart",
-                            &[
-                                ("source", source.to_string()),
-                                (
-                                    "generation",
-                                    generation.map_or_else(|| "-".to_string(), |g| g.to_string()),
-                                ),
-                                (
-                                    "payload_bytes",
-                                    payload.as_ref().map_or(0, Vec::len).to_string(),
-                                ),
-                            ],
-                        );
-                        tele.dump_flight_recorder("ppm restart");
-                    }
-                    policy.on_controller_restart(&mem, payload.as_deref());
-                }
-                ppm_was_down = tf.ppm_down;
+            if let Some(s) = &mut scenario {
+                let _stage = tele.span(now, "scenario");
+                t.phase = Some(s.advance(&t, &self.bes, &mut mem, &mut physics.tables)?);
             }
-
-            // ---- Poison / drift fault application ----
-            // SAC poisoning corrupts once per window (rising edge): the
-            // NaN parameters persist until a rollback restores a clean
-            // checkpoint, exactly like a corrupted weight load would.
-            if faults_enabled && tf.sac_poison && !sac_poison_was && !crash_stopped && !tf.ppm_down
+            let dead = health.as_ref().is_some_and(|h| h.crash_stopped);
+            let tf = {
+                let _stage = tele.span(now, "faults");
+                faults.begin_tick(&t, &mut sampler, policy, &mut mem, ckpt.as_ref(), dead)?
+            };
+            let (offered, mut record) = {
+                let _stage = tele.span(now, "physics");
+                let extra = tf.bandwidth_extra_util;
+                physics.tick(&t, extra, &mem, policy, &mut sampler, &mut obs)
+            };
+            if let Some(a) = &mut alerts {
+                let _stage = tele.span(now, "alerts");
+                a.observe(&t, offered * tick_secs, record.lc_violated);
+            }
+            let (view, obs_age_ticks) = {
+                let _stage = tele.span(now, "fault-view");
+                faults.view(&tf, &obs)
+            };
             {
-                policy.inject_poison();
-                if tele.is_enabled() {
-                    tele.count("runner.sac_poisons", 1);
-                    tele.event(now, "runner", Severity::Warn, "sac_poison", &[]);
-                }
-            }
-            sac_poison_was = tf.sac_poison;
-            // Accumulator drift perturbs the incrementally maintained
-            // popularity mass of the first BE workload each tick.
-            if faults_enabled && tf.accum_drift != 0.0 {
-                if let Some(&bid) = be_ids.first() {
-                    mem.debug_corrupt_popularity(bid, tf.accum_drift);
-                }
-            }
-
-            // ---- LC performance from current placement ----
-            let level = self.load.level_at(now);
-            // Flash crowds scale the offered load on top of the load
-            // pattern. With no scenario the multiplier is exactly 1.0,
-            // and `x * 1.0` is bit-exact for finite x — the no-scenario
-            // run stays bit-identical to the pre-scenario runner.
-            let offered = level * self.lc_max_ref * phase.map_or(1.0, |p| p.lc_load_mult);
-            let burst = if sigma > 0.0 {
-                // Truncated at ±2.5σ: real load generators have bounded
-                // short-term variance, and a bounded tail is what makes
-                // "maximum load without SLO violation" a sharp boundary.
-                let z = standard_normal(&mut burst_rng).clamp(-2.5, 2.5);
-                (sigma * z - sigma * sigma / 2.0).exp()
-            } else {
-                1.0
-            };
-            let load_rps = offered * burst;
-            // Effective tier latencies under last tick's contention.
-            let lat_f =
-                mtat_tiermem::FMEM_LATENCY_NS * 1e-9 * bw.latency_multiplier(cont_fmem_util);
-            let lat_s =
-                mtat_tiermem::SMEM_LATENCY_NS * 1e-9 * bw.latency_multiplier(cont_smem_util);
-            let lc_hit = mem.residency(lc_id).fmem_usage_ratio();
-            let lc_pen = policy.smem_access_penalty(lc_id);
-            let lc_service = service_time(
-                self.lc.cpu_secs,
-                self.lc.accesses_per_req,
-                lc_hit,
-                lat_f,
-                lat_s,
-                lc_pen,
-            );
-            let p99 = latency::p99_response(load_rps, lc_service, self.lc.cores);
-            let violated = p99 > self.lc.slo_secs;
-            let achieved = latency::achieved_throughput(load_rps, lc_service, self.lc.cores);
-            lc_requests += offered * tick_secs;
-            if violated {
-                lc_violated_requests += offered * tick_secs;
-                violated_ticks += 1;
-            }
-            if let Some(eng) = &mut alert_engine {
-                let reqs = offered * tick_secs;
-                eng.observe(now, if violated { reqs } else { 0.0 }, reqs);
-                let transitions = eng.transitions();
-                for t in &transitions[alerts_seen..] {
-                    if tele.is_enabled() {
-                        tele.count("alert.transitions", 1);
-                        tele.gauge_merged("alert.fast_burn", t.fast_burn, GaugeMerge::Max);
-                        let sev = if t.to == AlertState::Firing {
-                            Severity::Warn
-                        } else {
-                            Severity::Info
-                        };
-                        tele.event(
-                            now,
-                            "alert",
-                            sev,
-                            "transition",
-                            &[
-                                ("rule", t.rule.clone()),
-                                ("from", t.from.label().to_string()),
-                                ("to", t.to.label().to_string()),
-                                ("fast_burn", format!("{:.3}", t.fast_burn)),
-                                ("slow_burn", format!("{:.3}", t.slow_burn)),
-                            ],
-                        );
-                        if t.to == AlertState::Firing {
-                            tele.count("alert.firing", 1);
-                            // A firing alert is exactly the moment an
-                            // on-call would want the recent event tail.
-                            tele.dump_flight_recorder("alert firing");
-                        }
-                    }
-                }
-                alerts_seen = transitions.len();
-                if tele.is_enabled() {
-                    tele.gauge_merged(
-                        "alert.firing_now",
-                        eng.firing().len() as f64,
-                        GaugeMerge::Sum,
-                    );
-                }
-            }
-            if tele.is_enabled() {
-                tele.count("runner.ticks", 1);
-                if violated {
-                    tele.count("runner.slo_violations", 1);
-                }
-                // The `as` cast saturates, so an unstable queue's
-                // infinite P99 lands in the histogram's top bucket.
-                tele.observe("runner.lc_p99_ns", (p99 * 1e9).round() as u64);
-                tele.gauge("runner.lc_load_rps", load_rps);
-            }
-            if let Some(n) = self.slo_streak_dump {
-                if violated {
-                    slo_streak = slo_streak.saturating_add(1);
-                    if slo_streak >= n && !streak_dumped {
-                        streak_dumped = true;
-                        if tele.is_enabled() {
-                            tele.count("runner.slo_streak_dumps", 1);
-                            tele.event(
-                                now,
-                                "runner",
-                                Severity::Warn,
-                                "slo_streak",
-                                &[("ticks", slo_streak.to_string())],
-                            );
-                            tele.dump_flight_recorder("slo violation streak");
-                        }
-                    }
-                } else {
-                    slo_streak = 0;
-                    streak_dumped = false;
-                }
-            }
-
-            // Demand-side access rate: queued requests still represent
-            // arriving memory demand, so a saturated server must not
-            // mask overload from the policy's Memory Access Count state.
-            let lc_access_rate = load_rps * self.lc.accesses_per_req;
-            {
-                let o = &mut obs[0];
-                o.load_rps = load_rps;
-                o.p99_secs = p99;
-                o.hit_ratio = lc_hit;
-                o.access_rate = lc_access_rate;
-                o.throughput = achieved;
-                o.slo_violated = violated;
-                // Uniform LC traffic: every page gets rate/n accesses.
-                if sample_pages {
-                    let n = o.sampled.len();
-                    let per_page = lc_access_rate * tick_secs / n as f64;
-                    sampler.sample_uniform_estimates_touched(
-                        &mut o.sampled,
-                        &mut o.touched,
-                        per_page,
-                    );
-                }
-            }
-
-            // ---- BE performance ----
-            let mut be_thr_tick = Vec::with_capacity(self.bes.len());
-            for (bi, (spec, &id)) in self.bes.iter().zip(&be_ids).enumerate() {
-                let hit: f64 = mem
-                    .resident_popularity(id)
-                    .expect("weights registered before the loop");
-                let pen = policy.smem_access_penalty(id);
-                let s_op = service_time(
-                    spec.cpu_secs_per_op,
-                    spec.accesses_per_op,
-                    hit,
-                    lat_f,
-                    lat_s,
-                    pen,
-                );
-                let thr = spec.cores as f64 / s_op;
-                be_ops[bi] += thr * tick_secs;
-                be_thr_tick.push(thr);
-                // An antagonistic burst multiplies the workload's memory
-                // traffic — sampled pressure and bandwidth demand — not
-                // its op throughput (same bit-exactness argument as the
-                // LC multiplier above).
-                let access_rate =
-                    thr * spec.accesses_per_op * phase.map_or(1.0, |p| p.be[bi].rate_mult);
-                let o = &mut obs[1 + bi];
-                o.hit_ratio = hit;
-                o.access_rate = access_rate;
-                o.throughput = thr;
-                if sample_pages {
-                    sampler.sample_weighted_estimates_touched(
-                        &mut o.sampled,
-                        &mut o.touched,
-                        access_rate * tick_secs,
-                        &be_tables[bi],
-                    );
-                }
-            }
-
-            // ---- Policy-visible observations ----
-            // Under telemetry faults the policy sees a degraded copy:
-            // delayed (staleness), blinded (blackout hides the access
-            // stream while P99/throughput stay live), and noisy. The
-            // physics above always use the true values. The copy is
-            // materialized — into a buffer reused across ticks — only on
-            // ticks where some fault actually distorts it; otherwise the
-            // policy reads the live observations directly.
-            let (obs_age_ticks, use_view) = if faults_enabled {
-                if keep_history {
-                    let mut snap = if obs_history.len() == max_history {
-                        obs_history.pop_front().expect("ring is full")
-                    } else {
-                        Vec::new()
-                    };
-                    copy_obs_into(&mut snap, &obs);
-                    obs_history.push_back(snap);
-                }
-                let delay = if keep_history {
-                    (tf.telemetry_delay_ticks as usize).min(obs_history.len() - 1)
-                } else {
-                    0
-                };
-                if delay > 0 || tf.sampler_blackout || tf.telemetry_noise_amp > 0.0 {
-                    let src: &[WorkloadObs] = if delay > 0 {
-                        &obs_history[obs_history.len() - 1 - delay]
-                    } else {
-                        &obs
-                    };
-                    copy_obs_into(&mut view_buf, src);
-                    if tf.sampler_blackout {
-                        for o in &mut view_buf {
-                            o.access_rate = 0.0;
-                            for s in &mut o.sampled {
-                                *s = 0;
-                            }
-                        }
-                    }
-                    if tf.telemetry_noise_amp > 0.0 {
-                        for o in &mut view_buf {
-                            o.p99_secs *= injector.noise_factor(tf.telemetry_noise_amp);
-                            o.throughput *= injector.noise_factor(tf.telemetry_noise_amp);
-                            o.slo_violated = o.p99_secs > o.slo_secs;
-                        }
-                    }
-                    (delay as u64, true)
-                } else {
-                    (0, false)
-                }
-            } else {
-                (0, false)
-            };
-            let policy_obs: &[WorkloadObs] = if use_view { &view_buf } else { &obs };
-
-            // ---- Policy tick ----
-            let interval_boundary = tick_index > 0 && tick_index % ticks_per_interval == 0;
-            if faults_enabled {
+                let _stage = tele.span(now, "policy");
                 engine.set_tick_faults(tf.migration_bw_factor, tf.migration_fail_prob);
-            }
-            engine.begin_tick(tick_secs);
-            {
-                let mut sim = SimState {
+                engine.begin_tick(tick_secs);
+                policy.on_tick(&mut SimState {
                     mem: &mut mem,
                     migration: &mut engine,
-                    workloads: policy_obs,
+                    workloads: view,
                     tick_secs,
                     now_secs: now,
-                    interval_boundary,
+                    interval_boundary: t.boundary,
                     obs_age_ticks,
-                    fmem_bw_util: fmem_util,
-                    smem_bw_util: smem_util,
-                    scenario_phase: cur_phase,
-                };
-                policy.on_tick(&mut sim);
+                    fmem_bw_util: physics.fmem_util,
+                    smem_bw_util: physics.smem_util,
+                    scenario_phase: t.phase.map_or(0, |p| p.id),
+                });
             }
-
-            // ---- Checkpoint capture & bit-identity restart probe ----
-            // Captures happen right after the boundary tick: the policy
-            // has just reset its interval accumulators and handed PP-E
-            // the new plan, so the snapshot sits exactly on a decision
-            // boundary. While the controller is down nothing is
-            // captured (there is no daemon to ask).
-            if let Some(ck) = ckpt_cfg {
-                if interval_boundary && !tf.ppm_down && !crash_stopped {
-                    boundaries_seen += 1;
-                    if boundaries_seen.is_multiple_of(ck.every_intervals.max(1)) {
-                        // With health enabled, captures are gated on the
-                        // policy's own health probe: a checkpoint of an
-                        // already-poisoned controller would poison every
-                        // future rollback, so it is skipped, not saved.
-                        let probe = if monitor.is_some() {
-                            policy.health_probe()
-                        } else {
-                            Ok(())
-                        };
-                        if let Err(surface) = &probe {
-                            if tele.is_enabled() {
-                                tele.count("ckpt.skips_unhealthy", 1);
-                                tele.event(
-                                    now,
-                                    "runner",
-                                    Severity::Warn,
-                                    "checkpoint_skipped",
-                                    &[("probe", surface.clone())],
-                                );
-                            }
-                        } else if let Some(payload) = policy.checkpoint() {
-                            let save_t0 = std::time::Instant::now();
-                            let mut blob = seal(&payload);
-                            // A torn device write: flip one byte of the
-                            // sealed envelope so the checksum rejects
-                            // this generation on restore and the loader
-                            // falls back to the previous one.
-                            if faults_enabled && tf.checkpoint_corrupt && !blob.is_empty() {
-                                let mid = blob.len() / 2;
-                                blob[mid] ^= 0xFF;
-                            }
-                            let generation = if let Some(store) = &mut ckpt_store {
-                                let g = store.next_generation();
-                                store.save_sealed(&blob).map_err(checkpoint_err)?;
-                                g
-                            } else {
-                                let g = ring_next_gen;
-                                ring_next_gen += 1;
-                                ckpt_ring.push_back((g, blob));
-                                while ckpt_ring.len() > ck.retain.max(1) {
-                                    ckpt_ring.pop_front();
-                                }
-                                g
-                            };
-                            // Known-good generations are the rollback
-                            // targets. Only a capture taken while the
-                            // monitor reads Healthy (and not corrupted
-                            // by the fault plan) qualifies.
-                            let trustworthy = !(faults_enabled && tf.checkpoint_corrupt)
-                                && monitor
-                                    .as_ref()
-                                    .is_none_or(HealthMonitor::checkpoint_trustworthy);
-                            if trustworthy {
-                                last_good_gen = Some(generation);
-                            }
-                            if tele.is_enabled() {
-                                tele.count("ckpt.saves", 1);
-                                tele.observe(
-                                    "ckpt.save_ns",
-                                    u64::try_from(save_t0.elapsed().as_nanos()).unwrap_or(u64::MAX),
-                                );
-                                tele.gauge("ckpt.payload_bytes", payload.len() as f64);
-                                tele.event(
-                                    now,
-                                    "runner",
-                                    Severity::Debug,
-                                    "checkpoint",
-                                    &[
-                                        ("payload_bytes", payload.len().to_string()),
-                                        ("generation", generation.to_string()),
-                                        ("known_good", trustworthy.to_string()),
-                                    ],
-                                );
-                            }
-                        }
-                    }
-                    if probe_pending.is_some_and(|at| now >= at) {
-                        probe_pending = None;
-                        if let Some(payload) = policy.checkpoint() {
-                            policy.on_controller_crash();
-                            policy.on_controller_restart(&mem, Some(&payload));
-                        }
-                    }
+            // While the controller is down nothing is captured: there is
+            // no daemon to ask.
+            if let Some(c) = ckpt
+                .as_mut()
+                .filter(|_| t.boundary && !tf.ppm_down && !dead)
+            {
+                let _stage = tele.span(now, "checkpoint");
+                c.capture(&t, &tf, policy, &mem, health.as_ref().map(|h| &h.monitor))?;
+            }
+            {
+                let _stage = tele.span(now, "health");
+                if let Some(h) = &mut health {
+                    h.sentinels(&t, record.lc_violated, &tf, policy);
+                }
+                let incidents = health.as_mut().map(|h| &mut h.incidents);
+                audit(&t, audit_on, &mem, policy, &obs, incidents)?;
+                if let Some(h) = &mut health {
+                    let held = h.recover(&t, policy, &mut mem, ckpt.as_mut(), tf.ppm_down)?;
+                    faults.rolled_back_while_down |= held;
                 }
             }
-
-            // ---- Health sentinels & runtime invariant audit ----
-            // With the health subsystem enabled, detections become
-            // incidents answered by the monitor's directive (repair,
-            // rollback, quarantine) instead of aborting the run. Without
-            // it the pre-existing fail-stop behavior is untouched.
-            let mut incidents: Vec<Incident> = Vec::new();
-            if let Some(mon) = &mut monitor {
-                let skew = if faults_enabled {
-                    tf.clock_skew_factor
-                } else {
-                    1.0
-                };
-                if let Some(i) = mon.observe_tick(now, violated, skew) {
-                    incidents.push(i);
-                }
-                // NaN/poison sentinel on the policy's numeric surfaces.
-                // Skipped in quarantine (the poisoned agent is contained,
-                // not consulted) and while the daemon is down.
-                if !mon.is_quarantined() && !crash_stopped && !tf.ppm_down {
-                    if let Err(surface) = policy.health_probe() {
-                        incidents.push(Incident::Poison(surface));
-                    }
-                }
+            {
+                let _stage = tele.span(now, "contention");
+                physics.contend(&t, &obs, &engine);
             }
-            if audit_on || monitor.is_some() {
-                if let Err(v) = mem.audit() {
-                    if monitor.is_some() {
-                        incidents.push(Incident::AuditViolation(v.to_string()));
-                    } else {
-                        if tele.is_enabled() {
-                            tele.event(
-                                now,
-                                "runner",
-                                Severity::Error,
-                                "audit_violation",
-                                &[("detail", v.to_string())],
-                            );
-                            if let Some(dump) = tele.dump_flight_recorder("audit violation") {
-                                eprintln!("{dump}");
-                            }
-                        }
-                        return Err(v.into());
-                    }
-                }
+            {
+                let _stage = tele.span(now, "record");
+                record.fmem_bytes = obs.iter().map(|o| mem.fmem_bytes_of(o.id)).collect();
+                record.migration_bw = engine.tick_bandwidth_bytes_per_sec();
+                record.fmem_bw_util = physics.fmem_util;
+                record.smem_bw_util = physics.smem_util;
+                record.degradation = policy.degradation();
+                ticks.push(record);
             }
-            if interval_boundary && (audit_on || monitor.is_some() || tele.is_enabled()) {
-                // Conservation across the partition plan: the bytes
-                // the policy hands out must fit in FMem. `u64::MAX`
-                // is the static policies' "everything" sentinel. The
-                // plan total is also what telemetry reports, so it is
-                // computed whenever either consumer wants it.
-                let fmem_bytes = self.cfg.mem.fmem_bytes();
-                let mut plan_bytes = 0u64;
-                for o in obs.iter() {
-                    if let Some(t) = policy.fmem_target(o.id) {
-                        let t = if t == u64::MAX { fmem_bytes } else { t };
-                        plan_bytes = plan_bytes.saturating_add(t);
-                    }
-                }
-                if tele.is_enabled() {
-                    tele.count("runner.intervals", 1);
-                    tele.gauge("runner.plan_bytes", plan_bytes as f64);
-                    tele.event(
-                        now,
-                        "runner",
-                        Severity::Info,
-                        "plan",
-                        &[
-                            ("plan_bytes", plan_bytes.to_string()),
-                            ("fmem_bytes", fmem_bytes.to_string()),
-                        ],
-                    );
-                }
-                if (audit_on || monitor.is_some()) && plan_bytes > fmem_bytes {
-                    let v = AuditViolation::PlanExceedsFmem {
-                        plan_bytes,
-                        fmem_bytes,
-                    };
-                    if monitor.is_some() {
-                        incidents.push(Incident::AuditViolation(v.to_string()));
-                    } else {
-                        if tele.is_enabled() {
-                            tele.event(
-                                now,
-                                "runner",
-                                Severity::Error,
-                                "audit_violation",
-                                &[("detail", v.to_string())],
-                            );
-                            if let Some(dump) = tele.dump_flight_recorder("audit violation") {
-                                eprintln!("{dump}");
-                            }
-                        }
-                        return Err(v.into());
-                    }
-                }
-            }
-
-            // ---- Incident handling: autonomous recovery ----
-            if !incidents.is_empty() {
-                let mon = monitor.as_mut().expect("incidents require the monitor");
-                handle_incidents(
-                    &incidents,
-                    now,
-                    mon,
-                    policy,
-                    &mut mem,
-                    &mut ckpt_store,
-                    &mut ckpt_ring,
-                    &mut last_good_gen,
-                    &mut crash_stopped,
-                    &tele,
-                )?;
-                // Post-recovery verification: if the substrate audit
-                // still fails after the directive ran, the fault is
-                // unrepairable and the run aborts as it would have
-                // without the health subsystem.
-                if let Err(v) = mem.audit() {
-                    if tele.is_enabled() {
-                        tele.event(
-                            now,
-                            "runner",
-                            Severity::Error,
-                            "audit_violation",
-                            &[("detail", format!("unrepairable: {v}"))],
-                        );
-                        if let Some(dump) = tele.dump_flight_recorder("unrepairable violation") {
-                            eprintln!("{dump}");
-                        }
-                    }
-                    return Err(v.into());
-                }
-            }
-
-            // Update the contention state for the next tick: workload
-            // traffic split by tier plus migration traffic (which
-            // touches both tiers).
-            let mut fmem_demand = 0.0;
-            let mut smem_demand = 0.0;
-            for o in &obs {
-                fmem_demand += BandwidthModel::demand_from_access_rate(o.access_rate * o.hit_ratio);
-                smem_demand +=
-                    BandwidthModel::demand_from_access_rate(o.access_rate * (1.0 - o.hit_ratio));
-            }
-            let mig_bw = engine.tick_bandwidth_bytes_per_sec();
-            fmem_demand += mig_bw;
-            smem_demand += mig_bw;
-            fmem_util = bw.utilization(fmem_demand, true);
-            smem_util = bw.utilization(smem_demand, false);
-            if tele.is_enabled() {
-                tele.gauge("runner.fmem_bw_util", fmem_util);
-                tele.gauge("runner.smem_bw_util", smem_util);
-                tele.gauge("runner.migration_bw_bytes_per_sec", mig_bw);
-            }
-
-            // ---- Record ----
-            let fmem_bytes: Vec<u64> = std::iter::once(lc_id)
-                .chain(be_ids.iter().copied())
-                .map(|id| mem.fmem_bytes_of(id))
-                .collect();
-            ticks.push(TickRecord {
-                t: now,
-                lc_load_rps: load_rps,
-                lc_p99: p99,
-                lc_violated: violated,
-                lc_fmem_ratio: lc_hit,
-                fmem_bytes,
-                be_throughput: be_thr_tick,
-                migration_bw: engine.tick_bandwidth_bytes_per_sec(),
-                fmem_bw_util: fmem_util,
-                smem_bw_util: smem_util,
-                degradation: policy.degradation(),
-            });
-
-            // ---- Live telemetry publication ----
-            // Snapshots are rendered at interval boundaries (and on the
-            // final tick) and handed to the hub whole; scrapes between
-            // boundaries see the previous snapshot. Publication reads
-            // sim state but writes none back.
-            if let Some(hub) = &self.hub {
-                if interval_boundary || tick_index + 1 == n_ticks {
-                    if let Some(text) = tele.snapshot_prometheus(&[("policy", policy.name())]) {
-                        hub.publish_metrics(text);
-                    }
-                    let (hstate, serving) = match &monitor {
-                        Some(m) => (m.state().label(), !m.is_quarantined()),
-                        None => ("healthy", true),
-                    };
-                    hub.publish_health(hstate, serving);
-                    let firing: Vec<&str> = alert_engine
-                        .as_ref()
-                        .map(BurnRateEngine::firing)
-                        .unwrap_or_default();
-                    hub.publish_status(render_status(
-                        policy.name(),
-                        tick_index,
-                        n_ticks,
-                        now,
-                        self.duration_secs,
-                        phase.map(|p| (p.id, p.label.as_str())),
-                        policy.degradation().map(|d| d.label()),
-                        hstate,
-                        &firing,
-                        violated_ticks,
-                    ));
-                }
+            if let Some(p) = &publish {
+                let _stage = tele.span(now, "publish");
+                let monitor = health.as_ref().map(|h| &h.monitor);
+                p.publish(&t, policy, monitor, alerts.as_ref(), physics.violated_ticks);
             }
         }
 
@@ -1488,9 +535,10 @@ impl Experiment {
             lc_name: self.lc.name.clone(),
             be_names: self.bes.iter().map(|b| b.name.clone()).collect(),
             ticks,
-            lc_requests,
-            lc_violated_requests,
-            be_avg_throughput: be_ops
+            lc_requests: physics.lc_requests,
+            lc_violated_requests: physics.lc_violated_requests,
+            be_avg_throughput: physics
+                .be_ops
                 .iter()
                 .map(|&o| if duration > 0.0 { o / duration } else { 0.0 })
                 .collect(),
@@ -1500,11 +548,54 @@ impl Experiment {
             retried_moves: engine.retried_moves(),
             duration_secs: duration,
             tick_secs,
-            health: monitor.map(|m| m.summary(final_audit_ok)),
-            alerts: alert_engine
-                .map(|e| e.transitions().iter().map(AlertRecord::from).collect())
-                .unwrap_or_default(),
+            health: health.map(|h| h.monitor.summary(final_audit_ok)),
+            alerts: alerts.map(|a| a.records()).unwrap_or_default(),
         })
+    }
+
+    /// The observations before the first tick: the LC first, then each
+    /// BE, every per-page sample count zero.
+    fn initial_obs(
+        &self,
+        mem: &TieredMemory,
+        lc: WorkloadId,
+        bes: &[WorkloadId],
+    ) -> Vec<WorkloadObs> {
+        let blank = |id| WorkloadObs {
+            id,
+            class: WorkloadClass::Be,
+            name: String::new(),
+            rss_bytes: 0,
+            cores: 0,
+            load_rps: 0.0,
+            p99_secs: 0.0,
+            slo_secs: f64::INFINITY,
+            hit_ratio: 0.0,
+            access_rate: 0.0,
+            throughput: 0.0,
+            sampled: vec![0; mem.region(id).len()],
+            touched: Default::default(),
+            slo_violated: false,
+        };
+        let mut obs = Vec::with_capacity(1 + bes.len());
+        obs.push(WorkloadObs {
+            class: WorkloadClass::Lc,
+            name: self.lc.name.clone(),
+            rss_bytes: self.lc.rss_bytes,
+            cores: self.lc.cores,
+            slo_secs: self.lc.slo_secs,
+            hit_ratio: mem.residency(lc).fmem_usage_ratio(),
+            ..blank(lc)
+        });
+        for (spec, &id) in self.bes.iter().zip(bes) {
+            obs.push(WorkloadObs {
+                name: spec.name.clone(),
+                rss_bytes: spec.rss_bytes,
+                cores: spec.cores,
+                ..blank(id)
+            });
+        }
+        obs
     }
 
     /// Measures the maximum constant load (requests/s) the policy
@@ -1608,18 +699,937 @@ pub fn burst_headroom(sigma: f64) -> f64 {
     }
 }
 
+/// What every stage may read about the current tick.
+struct Tick<'a> {
+    index: u64,
+    now: f64,
+    /// The tick starts a partitioning interval (never tick 0).
+    boundary: bool,
+    phase: Option<&'a ScenarioPhase>,
+    tele: &'a Obs,
+}
+
+fn checkpoint_err(e: SnapError) -> TierMemError {
+    TierMemError::Checkpoint(e.to_string())
+}
+
+/// Restarts PP-M from the `saved` checkpoint payload, or cold without
+/// one — the one restore path of a crash-restart edge, a health rollback
+/// and the restart probe. A daemon that a `PpmCrash` window still holds
+/// down (`down`) is restored but stays down until the window ends.
+fn restore_controller(
+    policy: &mut dyn Policy,
+    mem: &TieredMemory,
+    saved: Option<&[u8]>,
+    down: bool,
+) {
+    policy.on_controller_crash();
+    policy.on_controller_restart(mem, saved);
+    if down {
+        policy.on_controller_crash();
+    }
+}
+
+/// Fail-stops the run on an audit violation nothing will recover: logs
+/// it, prints the flight recorder to stderr and returns the error.
+/// `unrepairable` marks a violation that survived its health directive.
+fn audit_abort(tele: &Obs, now: f64, v: AuditViolation, unrepairable: bool) -> TierMemError {
+    if tele.is_enabled() {
+        let (detail, reason) = if unrepairable {
+            (format!("unrepairable: {v}"), "unrepairable violation")
+        } else {
+            (v.to_string(), "audit violation")
+        };
+        let kv = [("detail", detail)];
+        tele.event(now, "runner", Severity::Error, "audit_violation", &kv);
+        if let Some(dump) = tele.dump_flight_recorder(reason) {
+            eprintln!("{dump}");
+        }
+    }
+    v.into()
+}
+
+/// Adversarial scenario: the compiled schedule and the popularity
+/// mutation each BE currently runs under.
+struct Scenario {
+    schedule: ScenarioSchedule,
+    /// Id of the phase in force (0 before the first tick).
+    phase: u32,
+    /// Per BE: its id, the mutation it runs under, and its raw weights,
+    /// computed at the first phase that needs a pattern and reused by
+    /// every later phase with it.
+    bes: Vec<(WorkloadId, Option<PopMutation>, RawWeights)>,
+}
+
+impl Scenario {
+    /// Compiles `spec` into a deterministic piecewise-constant schedule
+    /// up front, so a malformed spec fails the run (and its matrix
+    /// cell) cleanly before any tick executes.
+    fn new(
+        spec: &ScenarioSpec,
+        exp: &Experiment,
+        be_ids: &[WorkloadId],
+        mem: &TieredMemory,
+    ) -> Result<Self, TierMemError> {
+        let schedule = spec
+            .compile(exp.cfg.tick_secs, exp.duration_secs, exp.bes.len())
+            .map_err(|e| TierMemError::InvalidConfig {
+                what: "scenario",
+                detail: e.to_string(),
+            })?;
+        let bes = be_ids
+            .iter()
+            .map(|&id| (id, None, RawWeights::new(mem.region(id).len())));
+        Ok(Self {
+            schedule,
+            phase: 0,
+            bes: bes.collect(),
+        })
+    }
+
+    /// Enters the phase covering this tick. The scenario mutates the
+    /// *workload*, not the policy's view: at a phase boundary the
+    /// mutated BE popularity is materialized and re-registered (the
+    /// incremental resident mass recomputes from current placement, so
+    /// accounting stays exact), the sampler weight `tables` are rebuilt,
+    /// and the new phase is announced on the obs stream.
+    fn advance(
+        &mut self,
+        t: &Tick,
+        bes: &[BeSpec],
+        mem: &mut TieredMemory,
+        tables: &mut [WeightTable],
+    ) -> Result<&ScenarioPhase, TierMemError> {
+        let ph = self.schedule.phase_at(t.index);
+        if ph.id == self.phase {
+            return Ok(ph);
+        }
+        for (bi, (spec, (id, cur, raw))) in bes.iter().zip(&mut self.bes).enumerate() {
+            let want = ph.be[bi].pop;
+            if want == *cur {
+                continue;
+            }
+            let pop = want
+                .unwrap_or_default()
+                .materialize(spec.pattern, raw)
+                .map_err(|e| TierMemError::InvalidConfig {
+                    what: "scenario popularity",
+                    detail: e.to_string(),
+                })?;
+            mem.register_popularity(*id, pop.weights())?;
+            tables[bi] = pop.to_weight_table();
+            *cur = want;
+        }
+        self.phase = ph.id;
+        if t.tele.is_enabled() {
+            t.tele.count("runner.scenario_phases", 1);
+            t.tele.event(
+                t.now,
+                "scenario",
+                Severity::Info,
+                "phase",
+                &[
+                    ("id", ph.id.to_string()),
+                    ("label", ph.label.clone()),
+                    ("lc_load_mult", format!("{:.3}", ph.lc_load_mult)),
+                ],
+            );
+        }
+        Ok(ph)
+    }
+}
+
+/// Fault injection: this tick's effects and their edges, and the
+/// degraded view of the observations the policy reads.
+struct Faults {
+    injector: FaultInjector,
+    /// The workload whose popularity mass `AccumulatorDrift` perturbs:
+    /// the first BE.
+    drift_target: Option<WorkloadId>,
+    ppm_was_down: bool,
+    /// A health rollback restored the daemon while a `PpmCrash` window
+    /// held it down; the window-end restart re-enters conservatively.
+    rolled_back_while_down: bool,
+    poison_was: bool,
+    /// Observation snapshots kept for delayed telemetry: one more than
+    /// the longest `TelemetryStale` delay, so 1 (none kept) without one.
+    max_history: usize,
+    history: VecDeque<Vec<WorkloadObs>>,
+    /// The degraded copy, a buffer reused across ticks.
+    degraded: Vec<WorkloadObs>,
+}
+
+impl Faults {
+    /// Arms `plan`, seeding the migration engine's per-move failure
+    /// stream from it.
+    fn new(plan: &FaultPlan, engine: &mut MigrationEngine, drift: Option<WorkloadId>) -> Self {
+        engine.set_fault_seed(plan.seed);
+        let stale = plan.windows.iter().map(|w| match w.kind {
+            FaultKind::TelemetryStale { ticks } => ticks as usize,
+            _ => 0,
+        });
+        let max_history = 1 + stale.max().unwrap_or(0);
+        Self {
+            injector: FaultInjector::new(plan.clone()),
+            drift_target: drift,
+            ppm_was_down: false,
+            rolled_back_while_down: false,
+            poison_was: false,
+            max_history,
+            history: VecDeque::with_capacity(max_history),
+            degraded: Vec::new(),
+        }
+    }
+
+    /// Computes and applies this tick's effects: the sampler's blackout
+    /// and dropout, PP-M crash and restart edges, SAC poisoning and
+    /// accumulator drift; a daemon the health monitor crash-stopped
+    /// (`dead`) sees neither edges nor poison. A `PpmCrash` window models
+    /// the user-space daemon dying while the in-kernel PP-E keeps
+    /// enforcing its last plan; on recovery a fresh daemon reloads the
+    /// newest checkpoint generation that verifies, or restarts cold, and
+    /// after a rollback inside the window re-enters as after any rollback.
+    fn begin_tick(
+        &mut self,
+        t: &Tick,
+        sampler: &mut AccessSampler,
+        policy: &mut dyn Policy,
+        mem: &mut TieredMemory,
+        ckpt: Option<&Checkpoints>,
+        dead: bool,
+    ) -> Result<TickFaults, TierMemError> {
+        let tele = t.tele;
+        let tf = self.injector.begin_tick(t.now);
+        sampler.set_fault_state(tf.sampler_blackout, tf.sampler_keep);
+        if !dead && tf.ppm_down != self.ppm_was_down {
+            if tf.ppm_down {
+                policy.on_controller_crash();
+                tele.count("runner.ppm_crashes", 1);
+                tele.event(t.now, "runner", Severity::Warn, "ppm_crash", &[]);
+                tele.dump_flight_recorder("ppm crash");
+            } else {
+                let restore_t0 = Instant::now();
+                let store = ckpt.map(|c| &c.store);
+                let latest = store.map(CheckpointStore::load_latest_with_generation);
+                let latest = latest.transpose().map_err(checkpoint_err)?.flatten();
+                if tele.is_enabled() {
+                    tele.count("runner.ppm_restarts", 1);
+                    tele.observe("ckpt.restore_ns", elapsed_ns(restore_t0));
+                    let on_disk = store.is_some_and(|s| s.dir().is_some());
+                    let source = match (&latest, on_disk) {
+                        (None, _) => "cold",
+                        (Some(_), true) => "disk",
+                        (Some(_), false) => "ring",
+                    };
+                    let (generation, bytes) = latest
+                        .as_ref()
+                        .map_or(("-".to_string(), 0), |(g, p)| (g.to_string(), p.len()));
+                    tele.event(
+                        t.now,
+                        "runner",
+                        Severity::Warn,
+                        "ppm_restart",
+                        &[
+                            ("source", source.to_string()),
+                            ("generation", generation),
+                            ("payload_bytes", bytes.to_string()),
+                        ],
+                    );
+                    tele.dump_flight_recorder("ppm restart");
+                }
+                let payload = latest.as_ref().map(|(_, p)| p.as_slice());
+                restore_controller(policy, mem, payload, false);
+                if std::mem::take(&mut self.rolled_back_while_down) {
+                    policy.after_rollback(t.now);
+                }
+            }
+            self.ppm_was_down = tf.ppm_down;
+        }
+        // SAC poisoning corrupts once per window (rising edge): the NaN
+        // parameters persist until a rollback restores a clean
+        // checkpoint, exactly like a corrupted weight load would.
+        if tf.sac_poison && !self.poison_was && !dead && !tf.ppm_down {
+            policy.inject_poison();
+            tele.count("runner.sac_poisons", 1);
+            tele.event(t.now, "runner", Severity::Warn, "sac_poison", &[]);
+        }
+        self.poison_was = tf.sac_poison;
+        if let Some(id) = self.drift_target.filter(|_| tf.accum_drift != 0.0) {
+            mem.debug_corrupt_popularity(id, tf.accum_drift);
+        }
+        Ok(tf)
+    }
+
+    /// The observations the policy reads this tick, and their age in
+    /// ticks. Under telemetry faults the policy sees a degraded copy:
+    /// delayed (staleness), blinded (a blackout hides the access stream
+    /// while P99 and throughput stay live), and noisy; the physics
+    /// always use the true values. The copy is built only on ticks
+    /// where some fault distorts it; otherwise the policy reads `obs`.
+    fn view<'a>(&'a mut self, tf: &TickFaults, obs: &'a [WorkloadObs]) -> (&'a [WorkloadObs], u64) {
+        if self.max_history > 1 {
+            let mut snap = if self.history.len() == self.max_history {
+                self.history.pop_front().expect("ring is full")
+            } else {
+                Vec::new()
+            };
+            copy_obs_into(&mut snap, obs);
+            self.history.push_back(snap);
+        }
+        let delay = (tf.telemetry_delay_ticks as usize).min(self.history.len().saturating_sub(1));
+        let degraded = delay > 0 || tf.sampler_blackout || tf.telemetry_noise_amp > 0.0;
+        if !degraded {
+            return (obs, 0);
+        }
+        let src: &[WorkloadObs] = if delay > 0 {
+            &self.history[self.history.len() - 1 - delay]
+        } else {
+            obs
+        };
+        copy_obs_into(&mut self.degraded, src);
+        if tf.sampler_blackout {
+            for o in &mut self.degraded {
+                o.access_rate = 0.0;
+                o.sampled.fill(0);
+            }
+        }
+        if tf.telemetry_noise_amp > 0.0 {
+            for o in &mut self.degraded {
+                o.p99_secs *= self.injector.noise_factor(tf.telemetry_noise_amp);
+                o.throughput *= self.injector.noise_factor(tf.telemetry_noise_amp);
+                o.slo_violated = o.p99_secs > o.slo_secs;
+            }
+        }
+        (&self.degraded, delay as u64)
+    }
+}
+
+/// LC and BE physics: offered load and bursts, service times from the
+/// actual placement under bandwidth contention, SLO and throughput
+/// accounting, and the tick's page sampling.
+struct Physics<'a> {
+    exp: &'a Experiment,
+    burst_rng: StdRng,
+    /// Whether the policy reads per-page sampled counts. When it does
+    /// not (e.g. FMEM_ALL), the whole PEBS pass is skipped — the physics
+    /// never read `sampled`, so outputs are identical.
+    sample_pages: bool,
+    /// Each BE's sampler weight table, rebuilt by scenario phases.
+    tables: Vec<WeightTable>,
+    /// Last tick's per-tier bandwidth utilization (see
+    /// [`Physics::contend`]).
+    fmem_util: f64,
+    smem_util: f64,
+    lc_requests: f64,
+    lc_violated_requests: f64,
+    violated_ticks: u64,
+    be_ops: Vec<f64>,
+}
+
+impl<'a> Physics<'a> {
+    fn new(exp: &'a Experiment, tables: Vec<WeightTable>, sample_pages: bool) -> Self {
+        Self {
+            exp,
+            burst_rng: StdRng::seed_from_u64(exp.cfg.seed ^ 0xB0),
+            sample_pages,
+            tables,
+            fmem_util: 0.0,
+            smem_util: 0.0,
+            lc_requests: 0.0,
+            lc_violated_requests: 0.0,
+            violated_ticks: 0,
+            be_ops: vec![0.0; exp.bes.len()],
+        }
+    }
+
+    /// Runs the tick under last tick's contention plus a spike's `extra`
+    /// utilization, writing the live observations into `obs`. Returns
+    /// the offered LC load (requests/s, before the burst) and the tick's
+    /// record as far as the physics know it.
+    fn tick(
+        &mut self,
+        t: &Tick,
+        extra: f64,
+        mem: &TieredMemory,
+        policy: &dyn Policy,
+        sampler: &mut AccessSampler,
+        obs: &mut [WorkloadObs],
+    ) -> (f64, TickRecord) {
+        let exp = self.exp;
+        let (lc, tick_secs, sigma) = (&exp.lc, exp.cfg.tick_secs, exp.cfg.burst_sigma);
+        // Flash crowds scale the offered load on top of the load
+        // pattern. With no scenario the multiplier is exactly 1.0, and
+        // `x * 1.0` is bit-exact for finite x — the no-scenario run stays
+        // bit-identical to the pre-scenario runner.
+        let offered =
+            exp.load.level_at(t.now) * exp.lc_max_ref * t.phase.map_or(1.0, |p| p.lc_load_mult);
+        let burst = if sigma > 0.0 {
+            // Truncated at ±2.5σ: real load generators have bounded
+            // short-term variance, and a bounded tail is what makes
+            // "maximum load without SLO violation" a sharp boundary.
+            let z = standard_normal(&mut self.burst_rng).clamp(-2.5, 2.5);
+            (sigma * z - sigma * sigma / 2.0).exp()
+        } else {
+            1.0
+        };
+        let load_rps = offered * burst;
+        let bw = &exp.cfg.bandwidth;
+        let lat_f =
+            FMEM_LATENCY_NS * 1e-9 * bw.latency_multiplier((self.fmem_util + extra).min(1.0));
+        let lat_s =
+            SMEM_LATENCY_NS * 1e-9 * bw.latency_multiplier((self.smem_util + extra).min(1.0));
+        let service = |cpu, accesses, hit, pen| service_time(cpu, accesses, hit, lat_f, lat_s, pen);
+        let lc_id = obs[0].id;
+        let lc_hit = mem.residency(lc_id).fmem_usage_ratio();
+        let lc_pen = policy.smem_access_penalty(lc_id);
+        let lc_service = service(lc.cpu_secs, lc.accesses_per_req, lc_hit, lc_pen);
+        let p99 = latency::p99_response(load_rps, lc_service, lc.cores);
+        let violated = p99 > lc.slo_secs;
+        let achieved = latency::achieved_throughput(load_rps, lc_service, lc.cores);
+        let tele = t.tele;
+        tele.count("runner.ticks", 1);
+        self.lc_requests += offered * tick_secs;
+        if violated {
+            self.lc_violated_requests += offered * tick_secs;
+            self.violated_ticks += 1;
+            tele.count("runner.slo_violations", 1);
+        }
+        // The `as` cast saturates, so an unstable queue's infinite
+        // P99 lands in the histogram's top bucket.
+        tele.observe("runner.lc_p99_ns", (p99 * 1e9).round() as u64);
+        tele.gauge("runner.lc_load_rps", load_rps);
+
+        // Demand-side access rate: queued requests still represent
+        // arriving memory demand, so a saturated server must not mask
+        // overload from the policy's Memory Access Count state.
+        let lc_access_rate = load_rps * lc.accesses_per_req;
+        let o = &mut obs[0];
+        o.load_rps = load_rps;
+        o.p99_secs = p99;
+        o.hit_ratio = lc_hit;
+        o.access_rate = lc_access_rate;
+        o.throughput = achieved;
+        o.slo_violated = violated;
+        // Uniform LC traffic: every page gets rate/n accesses.
+        if self.sample_pages {
+            let per_page = lc_access_rate * tick_secs / o.sampled.len() as f64;
+            sampler.sample_uniform_estimates_touched(&mut o.sampled, &mut o.touched, per_page);
+        }
+
+        let mut be_throughput = Vec::with_capacity(exp.bes.len());
+        for (bi, (spec, o)) in exp.bes.iter().zip(&mut obs[1..]).enumerate() {
+            let hit: f64 = mem
+                .resident_popularity(o.id)
+                .expect("weights registered before the loop");
+            let pen = policy.smem_access_penalty(o.id);
+            let s_op = service(spec.cpu_secs_per_op, spec.accesses_per_op, hit, pen);
+            let thr = spec.cores as f64 / s_op;
+            self.be_ops[bi] += thr * tick_secs;
+            be_throughput.push(thr);
+            // An antagonistic burst multiplies the workload's memory
+            // traffic — sampled pressure and bandwidth demand — not its
+            // op throughput (same bit-exactness argument as the LC
+            // multiplier above).
+            let access_rate =
+                thr * spec.accesses_per_op * t.phase.map_or(1.0, |p| p.be[bi].rate_mult);
+            o.hit_ratio = hit;
+            o.access_rate = access_rate;
+            o.throughput = thr;
+            if self.sample_pages {
+                sampler.sample_weighted_estimates_touched(
+                    &mut o.sampled,
+                    &mut o.touched,
+                    access_rate * tick_secs,
+                    &self.tables[bi],
+                );
+            }
+        }
+        let record = TickRecord {
+            t: t.now,
+            lc_load_rps: load_rps,
+            lc_p99: p99,
+            lc_violated: violated,
+            lc_fmem_ratio: lc_hit,
+            be_throughput,
+            ..TickRecord::default()
+        };
+        (offered, record)
+    }
+
+    /// The contention stage, lagged feedback: this tick's demand —
+    /// workload traffic split by tier plus migration traffic, which
+    /// touches both tiers — sets next tick's utilization.
+    fn contend(&mut self, t: &Tick, obs: &[WorkloadObs], engine: &MigrationEngine) {
+        let mut fmem_demand = 0.0;
+        let mut smem_demand = 0.0;
+        for o in obs {
+            fmem_demand += BandwidthModel::demand_from_access_rate(o.access_rate * o.hit_ratio);
+            smem_demand +=
+                BandwidthModel::demand_from_access_rate(o.access_rate * (1.0 - o.hit_ratio));
+        }
+        let mig_bw = engine.tick_bandwidth_bytes_per_sec();
+        fmem_demand += mig_bw;
+        smem_demand += mig_bw;
+        self.fmem_util = self.exp.cfg.bandwidth.utilization(fmem_demand, true);
+        self.smem_util = self.exp.cfg.bandwidth.utilization(smem_demand, false);
+        t.tele.gauge("runner.fmem_bw_util", self.fmem_util);
+        t.tele.gauge("runner.smem_bw_util", self.smem_util);
+        t.tele.gauge("runner.migration_bw_bytes_per_sec", mig_bw);
+    }
+}
+
+/// SLO burn-rate alerting, fed from the same per-tick violation verdict
+/// the SLO accounting uses. Sim-time windows only: the transition log,
+/// timestamps included, replays bit-identically.
+struct Alerts {
+    engine: BurnRateEngine,
+    /// Transitions already reported on the obs stream.
+    seen: usize,
+}
+
+impl Alerts {
+    fn new(rules: Vec<AlertRule>) -> Self {
+        let engine = BurnRateEngine::new(rules);
+        Self { engine, seen: 0 }
+    }
+
+    /// Feeds the tick's `reqs` requests, all violating when `violated`.
+    fn observe(&mut self, t: &Tick, reqs: f64, violated: bool) {
+        let tele = t.tele;
+        self.engine
+            .observe(t.now, if violated { reqs } else { 0.0 }, reqs);
+        let transitions = self.engine.transitions();
+        if tele.is_enabled() {
+            for tr in &transitions[self.seen..] {
+                tele.count("alert.transitions", 1);
+                tele.gauge_merged("alert.fast_burn", tr.fast_burn, GaugeMerge::Max);
+                let firing = tr.to == AlertState::Firing;
+                let sev = if firing {
+                    Severity::Warn
+                } else {
+                    Severity::Info
+                };
+                tele.event(
+                    t.now,
+                    "alert",
+                    sev,
+                    "transition",
+                    &[
+                        ("rule", tr.rule.clone()),
+                        ("from", tr.from.label().to_string()),
+                        ("to", tr.to.label().to_string()),
+                        ("fast_burn", format!("{:.3}", tr.fast_burn)),
+                        ("slow_burn", format!("{:.3}", tr.slow_burn)),
+                    ],
+                );
+                if firing {
+                    tele.count("alert.firing", 1);
+                    // A firing alert is exactly the moment an on-call
+                    // would want the recent event tail.
+                    tele.dump_flight_recorder("alert firing");
+                }
+            }
+            let firing_now = self.engine.firing().len() as f64;
+            tele.gauge_merged("alert.firing_now", firing_now, GaugeMerge::Sum);
+        }
+        self.seen = transitions.len();
+    }
+
+    fn records(&self) -> Vec<AlertRecord> {
+        let transitions = self.engine.transitions();
+        transitions.iter().map(AlertRecord::from).collect()
+    }
+}
+
+/// PP-M checkpointing: the generation store, the capture cadence, the
+/// newest known-good generation, and the bit-identity restart probe.
+struct Checkpoints {
+    store: CheckpointStore,
+    every: u64,
+    boundaries: u64,
+    probe_at: Option<f64>,
+    /// The newest generation captured while the system was verifiably
+    /// healthy; newer ones are suspect on rollback.
+    last_good: Option<u64>,
+}
+
+impl Checkpoints {
+    fn new(cfg: &CheckpointCfg) -> Result<Self, TierMemError> {
+        let retain = cfg.retain.max(1);
+        let store = match &cfg.dir {
+            Some(dir) => CheckpointStore::open(dir.clone(), retain),
+            None => CheckpointStore::in_memory(retain),
+        };
+        Ok(Self {
+            store: store.map_err(checkpoint_err)?,
+            every: cfg.every_intervals.max(1),
+            boundaries: 0,
+            probe_at: cfg.restart_probe_at,
+            last_good: None,
+        })
+    }
+
+    /// The rollback target: quarantines every generation newer than the
+    /// last known-good one — all of them when none is known-good — so
+    /// neither this rollback nor a later crash restart can resurrect
+    /// state captured after the fault began, then returns the newest
+    /// generation left that verifies.
+    fn rollback_target(&mut self) -> Result<Option<(u64, Vec<u8>)>, TierMemError> {
+        self.store
+            .quarantine_newer_than(self.last_good)
+            .map_err(checkpoint_err)?;
+        let target = self.store.load_latest_with_generation();
+        target.map_err(checkpoint_err)
+    }
+
+    /// Runs at an interval boundary with the daemon up, right after the
+    /// policy tick: the accumulators have just been reset and the new
+    /// plan handed to PP-E, so a capture sits exactly on a decision
+    /// boundary. Captures every `every` boundaries, then fires the
+    /// restart probe once it is due.
+    fn capture(
+        &mut self,
+        t: &Tick,
+        tf: &TickFaults,
+        policy: &mut dyn Policy,
+        mem: &TieredMemory,
+        monitor: Option<&HealthMonitor>,
+    ) -> Result<(), TierMemError> {
+        self.boundaries += 1;
+        if self.boundaries.is_multiple_of(self.every) {
+            self.save(t, tf, policy, monitor)?;
+        }
+        if self.probe_at.is_some_and(|at| t.now >= at) {
+            self.probe_at = None;
+            if let Some(payload) = policy.checkpoint() {
+                restore_controller(policy, mem, Some(&payload), false);
+            }
+        }
+        Ok(())
+    }
+
+    /// Captures one generation. With health enabled, captures are gated
+    /// on the policy's own health probe: a checkpoint of an
+    /// already-poisoned controller would poison every future rollback,
+    /// so it is skipped, not saved.
+    fn save(
+        &mut self,
+        t: &Tick,
+        tf: &TickFaults,
+        policy: &dyn Policy,
+        monitor: Option<&HealthMonitor>,
+    ) -> Result<(), TierMemError> {
+        let tele = t.tele;
+        if let Some(Err(surface)) = monitor.map(|_| policy.health_probe()) {
+            if tele.is_enabled() {
+                tele.count("ckpt.skips_unhealthy", 1);
+                let kv = [("probe", surface)];
+                tele.event(t.now, "runner", Severity::Warn, "checkpoint_skipped", &kv);
+            }
+            return Ok(());
+        }
+        let Some(payload) = policy.checkpoint() else {
+            return Ok(());
+        };
+        let save_t0 = Instant::now();
+        let mut blob = seal(&payload);
+        // A torn device write: flip one byte of the sealed envelope so
+        // the checksum rejects this generation on restore and the loader
+        // falls back to the previous one.
+        if tf.checkpoint_corrupt && !blob.is_empty() {
+            let mid = blob.len() / 2;
+            blob[mid] ^= 0xFF;
+        }
+        let generation = self.store.save_sealed(blob).map_err(checkpoint_err)?;
+        // Known-good generations are the rollback targets. Only a capture
+        // taken while the monitor reads Healthy (and not corrupted by the
+        // fault plan) qualifies.
+        let known_good =
+            !tf.checkpoint_corrupt && monitor.is_none_or(HealthMonitor::checkpoint_trustworthy);
+        if known_good {
+            self.last_good = Some(generation);
+        }
+        if tele.is_enabled() {
+            tele.count("ckpt.saves", 1);
+            tele.observe("ckpt.save_ns", elapsed_ns(save_t0));
+            tele.gauge("ckpt.payload_bytes", payload.len() as f64);
+            tele.event(
+                t.now,
+                "runner",
+                Severity::Debug,
+                "checkpoint",
+                &[
+                    ("payload_bytes", payload.len().to_string()),
+                    ("generation", generation.to_string()),
+                    ("known_good", known_good.to_string()),
+                ],
+            );
+        }
+        Ok(())
+    }
+}
+
+/// The runtime invariant audit, when `on`: page-table conservation
+/// every tick, and the partition plan's conservation at interval
+/// boundaries. With the health subsystem a violation becomes one of its
+/// `incidents`; without it the first violation aborts the run.
+fn audit(
+    t: &Tick,
+    on: bool,
+    mem: &TieredMemory,
+    policy: &dyn Policy,
+    obs: &[WorkloadObs],
+    mut incidents: Option<&mut Vec<Incident>>,
+) -> Result<(), TierMemError> {
+    let mut flag = |v: AuditViolation| match incidents.as_deref_mut() {
+        Some(queue) => {
+            queue.push(Incident::AuditViolation(v.to_string()));
+            Ok(())
+        }
+        None => Err(audit_abort(t.tele, t.now, v, false)),
+    };
+    if on {
+        if let Err(v) = mem.audit() {
+            flag(v)?;
+        }
+    }
+    let tele = t.tele;
+    if !(t.boundary && (on || tele.is_enabled())) {
+        return Ok(());
+    }
+    // Conservation across the partition plan: the bytes the policy hands
+    // out must fit in FMem. `u64::MAX` is the static policies'
+    // "everything" sentinel. The plan total is also what telemetry
+    // reports, so it is computed whenever either consumer wants it.
+    let fmem_bytes = mem.spec().fmem_bytes();
+    let plan_bytes = obs
+        .iter()
+        .filter_map(|o| policy.fmem_target(o.id))
+        .map(|target| {
+            if target == u64::MAX {
+                fmem_bytes
+            } else {
+                target
+            }
+        })
+        .fold(0u64, u64::saturating_add);
+    if tele.is_enabled() {
+        tele.count("runner.intervals", 1);
+        tele.gauge("runner.plan_bytes", plan_bytes as f64);
+        tele.event(
+            t.now,
+            "runner",
+            Severity::Info,
+            "plan",
+            &[
+                ("plan_bytes", plan_bytes.to_string()),
+                ("fmem_bytes", fmem_bytes.to_string()),
+            ],
+        );
+    }
+    if on && plan_bytes > fmem_bytes {
+        flag(AuditViolation::PlanExceedsFmem {
+            plan_bytes,
+            fmem_bytes,
+        })?;
+    }
+    Ok(())
+}
+
+/// The self-healing health subsystem ([`crate::health`]): the monitor's
+/// state machine and rollback budget, fed by the sentinels, answering
+/// incidents with autonomous recovery instead of aborting the run.
+struct Health {
+    monitor: HealthMonitor,
+    /// The crash-stop ablation arm killed the daemon for good.
+    crash_stopped: bool,
+    /// This tick's incidents, answered by [`Health::recover`].
+    incidents: Vec<Incident>,
+}
+
+impl Health {
+    fn new(cfg: HealthConfig) -> Self {
+        Self {
+            monitor: HealthMonitor::new(cfg),
+            crash_stopped: false,
+            incidents: Vec::new(),
+        }
+    }
+
+    /// The SLO-streak and watchdog sentinels, and the NaN/poison
+    /// sentinel on the policy's numeric surfaces — skipped in quarantine
+    /// (the poisoned agent is contained, not consulted) and while the
+    /// daemon is down.
+    fn sentinels(&mut self, t: &Tick, violated: bool, tf: &TickFaults, policy: &dyn Policy) {
+        let mon = &mut self.monitor;
+        if let Some(i) = mon.observe_tick(t.now, violated, tf.clock_skew_factor) {
+            self.incidents.push(i);
+        }
+        if !mon.is_quarantined() && !self.crash_stopped && !tf.ppm_down {
+            if let Err(surface) = policy.health_probe() {
+                self.incidents.push(Incident::Poison(surface));
+            }
+        }
+    }
+
+    /// Executes the monitor's directive for each incident, then audits
+    /// the substrate again: a violation that survives its directive is
+    /// unrepairable and aborts the run. A rollback repairs accounting
+    /// first (the restored controller must read it consistent), then
+    /// restores the last known-good generation, or restarts cold; a
+    /// daemon a `PpmCrash` window holds down (`down`) stays down. Returns
+    /// whether it rolled back such a held-down daemon.
+    fn recover(
+        &mut self,
+        t: &Tick,
+        policy: &mut dyn Policy,
+        mem: &mut TieredMemory,
+        mut ckpt: Option<&mut Checkpoints>,
+        down: bool,
+    ) -> Result<bool, TierMemError> {
+        if self.incidents.is_empty() {
+            return Ok(false);
+        }
+        let (tele, now, mon) = (t.tele, t.now, &mut self.monitor);
+        let mut rolled_back = false;
+        for incident in self.incidents.drain(..) {
+            let directive = mon.on_incident(now, &incident);
+            if tele.is_enabled() {
+                tele.count("health.incidents", 1);
+                tele.event(
+                    now,
+                    "health",
+                    Severity::Warn,
+                    "incident",
+                    &[
+                        ("kind", incident.label().to_string()),
+                        ("detail", incident.detail()),
+                        ("directive", format!("{directive:?}")),
+                    ],
+                );
+            }
+            match directive {
+                Directive::Continue => {}
+                Directive::Repair => {
+                    let fixed = mem.repair_accounting();
+                    mon.note_repair(now, fixed);
+                    tele.count("health.repairs", 1);
+                }
+                Directive::Rollback => {
+                    tele.count("health.rollbacks", 1);
+                    tele.dump_flight_recorder("health rollback");
+                    mem.repair_accounting();
+                    let target = match ckpt.as_deref_mut() {
+                        Some(c) => c.rollback_target()?,
+                        None => None,
+                    };
+                    let payload = target.as_ref().map(|(_, p)| p.as_slice());
+                    restore_controller(policy, mem, payload, down);
+                    policy.after_rollback(now);
+                    rolled_back = true;
+                    let generation = target.map(|(g, _)| g);
+                    mon.on_rollback_complete(now, generation);
+                    if tele.is_enabled() {
+                        let g = generation.map_or_else(|| "cold".to_string(), |g| g.to_string());
+                        let kv = [("generation", g)];
+                        tele.event(now, "health", Severity::Warn, "rollback", &kv);
+                    }
+                }
+                Directive::Quarantine => {
+                    mem.repair_accounting();
+                    policy.enter_quarantine(now);
+                    tele.count("health.quarantines", 1);
+                    tele.event(now, "health", Severity::Error, "quarantine", &[]);
+                    tele.dump_flight_recorder("health quarantine");
+                }
+                Directive::CrashStop => {
+                    if !self.crash_stopped {
+                        policy.on_controller_crash();
+                        self.crash_stopped = true;
+                        tele.count("health.crash_stops", 1);
+                        tele.event(now, "health", Severity::Error, "crash_stop", &[]);
+                        tele.dump_flight_recorder("health crash-stop");
+                    }
+                    mem.repair_accounting();
+                }
+            }
+        }
+        mem.audit().map_err(|v| audit_abort(tele, now, v, true))?;
+        Ok(rolled_back && down)
+    }
+}
+
+/// Live telemetry publication to a hub. Publication reads sim state
+/// but writes none back, and server threads only read what is published
+/// here, so serving cannot perturb the physics.
+struct Publish {
+    hub: TelemetryHub,
+    n_ticks: u64,
+    duration_secs: f64,
+}
+
+impl Publish {
+    /// Renders and hands the hub whole metrics, health and status
+    /// snapshots at interval boundaries and on the final tick; scrapes
+    /// between boundaries see the previous snapshot. The `/status`
+    /// document (progress, scenario phase, degradation mode, health,
+    /// firing alerts) is hand-rolled JSON: the schema is small.
+    fn publish(
+        &self,
+        t: &Tick,
+        policy: &dyn Policy,
+        monitor: Option<&HealthMonitor>,
+        alerts: Option<&Alerts>,
+        violated_ticks: u64,
+    ) {
+        if !(t.boundary || t.index + 1 == self.n_ticks) {
+            return;
+        }
+        let name = policy.name();
+        if let Some(text) = t.tele.snapshot_prometheus(&[("policy", name)]) {
+            self.hub.publish_metrics(text);
+        }
+        let (health, serving) = match monitor {
+            Some(m) => (m.state().label(), !m.is_quarantined()),
+            None => ("healthy", true),
+        };
+        self.hub.publish_health(health, serving);
+        let firing = alerts.map(|a| a.engine.firing()).unwrap_or_default();
+        let firing: Vec<String> = firing.iter().map(|f| json_string(f)).collect();
+        // Publication runs inside the tick loop, so `n_ticks` ≥ 1.
+        let progress = (t.index + 1) as f64 / self.n_ticks as f64;
+        let phase = t.phase.map_or("null".to_string(), |p| {
+            format!("{{\"id\":{},\"label\":{}}}", p.id, json_string(&p.label))
+        });
+        let mode = policy
+            .degradation()
+            .map_or("null".to_string(), |d| json_string(d.label()));
+        self.hub.publish_status(format!(
+            "{{\"policy\":{},\"tick\":{},\"ticks_total\":{},\"t_secs\":{},\
+             \"duration_secs\":{},\"progress\":{},\"scenario_phase\":{phase},\
+             \"supervisor_mode\":{mode},\"health\":{},\"alerts_firing\":[{}],\
+             \"violated_ticks\":{violated_ticks}}}",
+            json_string(name),
+            t.index,
+            self.n_ticks,
+            json_f64(t.now),
+            json_f64(self.duration_secs),
+            json_f64(progress),
+            json_string(health),
+            firing.join(","),
+        ));
+    }
+}
+
+fn elapsed_ns(t0: Instant) -> u64 {
+    u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX)
+}
+
 /// Service time from explicit (possibly contention-inflated) tier
-/// latencies, with a per-SMem-access penalty folded in.
-fn service_time(
-    cpu: f64,
-    accesses: f64,
-    hit_ratio: f64,
-    lat_f: f64,
-    lat_s: f64,
-    smem_penalty: f64,
-) -> f64 {
-    let h = hit_ratio.clamp(0.0, 1.0);
-    cpu + accesses * (h * lat_f + (1.0 - h) * (lat_s + smem_penalty))
+/// latencies, with a per-SMem-access penalty `pen` folded in.
+fn service_time(cpu: f64, accesses: f64, hit: f64, lat_f: f64, lat_s: f64, pen: f64) -> f64 {
+    let h = hit.clamp(0.0, 1.0);
+    cpu + accesses * (h * lat_f + (1.0 - h) * (lat_s + pen))
 }
 
 /// Copies observations into a reusable buffer, reusing each entry's
@@ -1647,17 +1657,13 @@ fn copy_obs_into(dst: &mut Vec<WorkloadObs>, src: &[WorkloadObs]) {
     dst.extend(src[filled..].iter().cloned());
 }
 
-fn standard_normal(rng: &mut StdRng) -> f64 {
-    let u1: f64 = rng.gen::<f64>().max(f64::MIN_POSITIVE);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::policy::statics::StaticPolicy;
+    use mtat_tiermem::faults::FaultKind;
     use mtat_tiermem::{GIB, MIB};
+    use mtat_workloads::access::Popularity;
 
     /// Small-scale workloads fitting the small test memory (1 GiB FMem,
     /// 8 GiB SMem, 1 MiB pages).

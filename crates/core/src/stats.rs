@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 use crate::supervisor::DegradationState;
 
 /// One simulation tick's observations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct TickRecord {
     /// Simulation time at the start of the tick (seconds).
     pub t: f64,

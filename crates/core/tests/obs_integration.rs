@@ -223,41 +223,6 @@ fn tracing_on_and_off_are_bit_identical() {
     }
 }
 
-/// The sustained-SLO-violation trigger dumps the flight recorder once
-/// per streak: an overloaded run trips it exactly once, and a run that
-/// never violates long enough leaves the recorder untouched.
-#[test]
-fn slo_streak_dump_fires_once_per_streak() {
-    let obs = Obs::enabled();
-    let exp = experiment(LoadPattern::Constant(1.5), 30.0)
-        .with_obs(obs.clone())
-        .with_slo_streak_dump(5);
-    exp.run(&mut StaticPolicy::fmem_all());
-
-    assert_eq!(obs.counter_value("runner.slo_streak_dumps"), Some(1));
-    let dump = obs.last_dump().expect("streak must dump the recorder");
-    assert!(
-        dump.contains("slo violation streak"),
-        "dump reason missing: {dump}"
-    );
-    assert!(
-        dump.contains("runner.slo_streak"),
-        "streak event missing: {dump}"
-    );
-
-    // Well under the knee: no violations, no dump.
-    let calm = Obs::enabled();
-    let exp = experiment(LoadPattern::Constant(0.3), 30.0)
-        .with_obs(calm.clone())
-        .with_slo_streak_dump(5);
-    exp.run(&mut StaticPolicy::fmem_all());
-    assert_eq!(
-        calm.counter_value("runner.slo_streak_dumps").unwrap_or(0),
-        0
-    );
-    assert!(calm.last_dump().is_none());
-}
-
 /// A policy that reports honest targets until `rogue_after_ticks`, then
 /// claims more FMem than exists — tripping the plan-conservation audit.
 struct RoguePolicy {

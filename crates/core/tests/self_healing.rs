@@ -13,6 +13,9 @@
 //!   the Static rung, alive to the end;
 //! * the crash-stop ablation arm takes the daemon down permanently and
 //!   reports its incidents as unrecovered;
+//! * a rollback inside a PP-M crash window keeps the daemon down until
+//!   the window ends, and one with no known-good generation leaves no
+//!   generation loadable, on disk as in memory;
 //! * everything above is bit-identical across repeated runs, and a
 //!   fault window straddling a checkpoint/restore probe perturbs
 //!   nothing.
@@ -21,6 +24,8 @@ use mtat_core::config::SimConfig;
 use mtat_core::policy::mtat::{MtatConfig, MtatPolicy};
 use mtat_core::runner::{CheckpointCfg, Experiment};
 use mtat_core::{DegradationState, HealthConfig, HealthState};
+use mtat_obs::serve::TelemetryHub;
+use mtat_obs::Obs;
 use mtat_tiermem::faults::{FaultKind, FaultPlan};
 use mtat_tiermem::{TierMemError, GIB};
 use mtat_workloads::be::BeSpec;
@@ -255,4 +260,102 @@ fn fault_window_straddling_restore_is_bit_identical() {
         r_base.lc_violated_requests.to_bits(),
         r_probe.lc_violated_requests.to_bits()
     );
+}
+
+/// A rollback inside a `PpmCrash` window restores the last known-good
+/// generation but keeps the daemon down until the window ends: the drift
+/// at t=20 rolls back to generation 1 (t=5; the window starts at the
+/// t=10 boundary, so nothing newer is captured), and PP-M plans nothing
+/// inside [10, 40), then resumes through the rollback's conservative
+/// re-entry: the supervisor reads Proportional after the restart, not
+/// the RL rung the reloaded generation was captured at.
+#[test]
+fn rollback_inside_crash_window_keeps_the_daemon_down() {
+    let plan = FaultPlan::new(0x0D0E)
+        .with(FaultKind::PpmCrash, 10.0, 30.0)
+        .with(FaultKind::AccumulatorDrift { delta: 5e-3 }, 20.0, 1.0);
+    let obs = Obs::traced();
+    let exp = experiment(LoadPattern::Constant(0.5), 60.0)
+        .with_fault_plan(plan)
+        .with_checkpoints(CheckpointCfg::in_memory())
+        .with_health(HealthConfig::self_heal())
+        .with_obs(obs.clone());
+
+    let r = exp.run(&mut rl_policy(&exp));
+    let h = r.health.expect("summary");
+    assert!(
+        h.events
+            .iter()
+            .any(|e| e.kind == "rollback" && e.detail.contains("generation 1")),
+        "events: {:?}",
+        h.events
+    );
+    let plans: Vec<f64> = obs
+        .with_tracer(|t| {
+            t.spans()
+                .iter()
+                .filter(|s| s.name == "ppm-plan")
+                .map(|s| s.sim_secs)
+                .collect()
+        })
+        .expect("traced handle has a tracer");
+    assert!(
+        plans.iter().all(|t| !(10.0..40.0).contains(t)),
+        "PP-M planned inside the crash window: {plans:?}"
+    );
+    assert!(
+        plans.iter().any(|&t| t >= 40.0),
+        "PP-M restarts when the window ends: {plans:?}"
+    );
+    let restart = r.ticks.iter().find(|k| k.t >= 40.0).expect("60 s run");
+    assert_eq!(
+        restart.degradation,
+        Some(DegradationState::Proportional),
+        "re-entry after the window at t={}",
+        restart.t
+    );
+}
+
+/// A rollback with no known-good generation quarantines every
+/// generation, on disk as in memory. At load 1.2 the monitor reads
+/// Degraded from t=7, so the only capture (t=10) is not known-good; the
+/// poison at t=18 rolls back cold, and the restart that ends the crash
+/// window at t=27 must be cold on both backends rather than resurrect
+/// the t=10 generation from disk. Both backends then run identically.
+#[test]
+fn rollback_without_known_good_generation_restarts_cold_on_both_backends() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("ckpt_no_known_good");
+    let _ = std::fs::remove_dir_all(&dir);
+    let plan = FaultPlan::new(0x0C01D)
+        .with(FaultKind::SacPoison, 18.0, 1.0)
+        .with(FaultKind::PpmCrash, 19.0, 8.0);
+    let mut digests = Vec::new();
+    for ckpt in [
+        CheckpointCfg::in_memory().with_every(2),
+        CheckpointCfg::on_disk(&dir).with_every(2),
+    ] {
+        let hub = TelemetryHub::new();
+        let exp = experiment(LoadPattern::Constant(1.2), 60.0)
+            .with_fault_plan(plan.clone())
+            .with_checkpoints(ckpt.clone())
+            .with_health(HealthConfig::self_heal())
+            .with_obs(Obs::enabled())
+            .with_hub(hub.clone());
+        let r = exp.run(&mut rl_policy(&exp));
+        let restarts: Vec<String> = hub
+            .events_after(0, usize::MAX)
+            .into_iter()
+            .map(|(_, line)| line)
+            .filter(|line| line.contains("runner.ppm_restart"))
+            .collect();
+        assert_eq!(restarts.len(), 1, "{:?}: {restarts:?}", ckpt.dir);
+        assert!(
+            restarts[0].contains("source=cold"),
+            "{:?}: {restarts:?}",
+            ckpt.dir
+        );
+        digests.push(r.digest());
+    }
+    assert_eq!(digests[0], digests[1], "both backends restart cold");
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -17,9 +17,9 @@
 //!   version, payload length, and an FNV-1a-64 content checksum. Any
 //!   single corrupted byte anywhere in a sealed checkpoint is detected
 //!   (wrong magic, version, length, or checksum) and refused.
-//! * [`CheckpointStore`] — atomic (temp-file + rename) on-disk
-//!   persistence with N-generation retention. Loading walks generations
-//!   newest-first and falls back past corrupted files, so one torn write
+//! * [`CheckpointStore`] — N-generation retention, atomic (temp-file +
+//!   rename) on disk or held in memory. Loading walks generations
+//!   newest-first and falls back past corrupted ones, so one torn write
 //!   never strands the daemon.
 
 use std::fmt;
@@ -472,18 +472,21 @@ pub fn unseal(bytes: &[u8]) -> Result<&[u8], SnapError> {
     Ok(payload)
 }
 
-/// Generational on-disk checkpoint store.
+/// Generational checkpoint store, on disk or in memory.
 ///
-/// Each [`CheckpointStore::save`] seals the payload and writes it
-/// atomically — to a temp file in the same directory, flushed, then
-/// renamed into place as `ckpt-NNNNNNNN.mtat` — so a crash mid-write
-/// never corrupts an existing generation. The newest `retain`
-/// generations are kept; older ones are pruned after each save.
-/// [`CheckpointStore::load_latest`] walks generations newest-first and
-/// skips (but reports) corrupted ones.
+/// Each [`CheckpointStore::save`] seals the payload and stores it as
+/// the next generation. On disk ([`CheckpointStore::open`]) the write is
+/// atomic — to a temp file in the same directory, flushed, then renamed
+/// into place as `ckpt-NNNNNNNN.mtat` — so a crash mid-write never
+/// corrupts an existing generation. In memory
+/// ([`CheckpointStore::in_memory`]) the sealed blobs stay in the store:
+/// same envelope, numbering, retention, fallback and quarantine, no
+/// filesystem traffic. The newest `retain` generations are kept; older
+/// ones are pruned after each save. [`CheckpointStore::load_latest`]
+/// walks generations newest-first and skips corrupted ones.
 #[derive(Debug)]
 pub struct CheckpointStore {
-    dir: PathBuf,
+    backend: Backend,
     retain: usize,
     next_gen: u64,
     /// Test shim: when set, the next save writes only this many bytes of
@@ -492,46 +495,69 @@ pub struct CheckpointStore {
     truncate_next_write: Option<usize>,
 }
 
+#[derive(Debug)]
+enum Backend {
+    /// `ckpt-NNNNNNNN.mtat` files in this directory.
+    Disk(PathBuf),
+    /// Sealed blobs with their generation numbers, oldest first.
+    Memory(Vec<(u64, Vec<u8>)>),
+}
+
 impl CheckpointStore {
     /// Opens (creating if needed) a store in `dir` keeping `retain`
-    /// generations.
+    /// generations. Numbering continues after the newest generation
+    /// already in the directory.
     ///
     /// # Errors
     ///
     /// [`SnapError::Io`] if the directory cannot be created or listed;
     /// [`SnapError::Malformed`] if `retain` is zero.
     pub fn open(dir: impl Into<PathBuf>, retain: usize) -> Result<Self, SnapError> {
+        let mut store = Self::in_memory(retain)?;
+        let dir = dir.into();
+        fs::create_dir_all(&dir).map_err(|e| SnapError::Io(format!("create {dir:?}: {e}")))?;
+        store.next_gen = Self::list_generations(&dir)?
+            .last()
+            .map_or(0, |&(gen, _)| gen + 1);
+        store.backend = Backend::Disk(dir);
+        Ok(store)
+    }
+
+    /// An empty in-memory store keeping `retain` generations, numbered
+    /// from 1.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Malformed`] if `retain` is zero.
+    pub fn in_memory(retain: usize) -> Result<Self, SnapError> {
         if retain == 0 {
             return Err(SnapError::Malformed("retain must be at least 1"));
         }
-        let dir = dir.into();
-        fs::create_dir_all(&dir).map_err(|e| SnapError::Io(format!("create {dir:?}: {e}")))?;
-        let next_gen = Self::list_generations(&dir)?
-            .last()
-            .map_or(0, |&(gen, _)| gen + 1);
         Ok(Self {
-            dir,
+            backend: Backend::Memory(Vec::new()),
             retain,
-            next_gen,
+            next_gen: 1,
             truncate_next_write: None,
         })
     }
 
     /// Arms the write-truncation shim: the next [`CheckpointStore::save`]
-    /// (or [`CheckpointStore::save_sealed`]) persists only the first
-    /// `bytes` bytes of the sealed blob before renaming it into place —
-    /// the torn-write a host crash between `write` and `fsync` would
-    /// leave behind. Exists so tests can prove that a torn latest
-    /// generation is detected and older generations are used instead;
-    /// never call this outside a test.
+    /// (or [`CheckpointStore::save_sealed`]) stores only the first
+    /// `bytes` bytes of the sealed blob — the torn-write a host crash
+    /// between `write` and `fsync` would leave behind. Exists so tests
+    /// can prove that a torn latest generation is detected and older
+    /// generations are used instead; never call this outside a test.
     #[doc(hidden)]
     pub fn debug_truncate_next_write(&mut self, bytes: usize) {
         self.truncate_next_write = Some(bytes);
     }
 
-    /// The store's directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
+    /// The store's directory, or `None` for an in-memory store.
+    pub fn dir(&self) -> Option<&Path> {
+        let Backend::Disk(dir) = &self.backend else {
+            return None;
+        };
+        Some(dir)
     }
 
     /// Existing generation numbers and paths, oldest first.
@@ -555,53 +581,62 @@ impl CheckpointStore {
         Ok(gens)
     }
 
-    /// Paths of the generations currently on disk, oldest first.
+    /// Paths of the generation files currently on disk, oldest first.
+    /// An in-memory store keeps no files, so its list is empty.
     pub fn generations(&self) -> Result<Vec<PathBuf>, SnapError> {
-        Ok(Self::list_generations(&self.dir)?
-            .into_iter()
-            .map(|(_, p)| p)
-            .collect())
-    }
-
-    /// Seals `payload` and writes it as the next generation, atomically,
-    /// then prunes generations beyond the retention count. Returns the
-    /// new generation's path.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Io`] on any filesystem failure.
-    pub fn save(&mut self, payload: &[u8]) -> Result<PathBuf, SnapError> {
-        let sealed = seal(payload);
-        self.save_sealed(&sealed)
-    }
-
-    /// Writes an already-sealed blob as the next generation. Same
-    /// atomicity and durability contract as [`CheckpointStore::save`];
-    /// exists so callers that keep sealed blobs around (the runner's
-    /// in-memory ring, fault injection that corrupts a blob post-seal)
-    /// can share one persistence path.
-    ///
-    /// Durability ordering: the temp file is written and `fsync`ed, then
-    /// renamed into place, then (on Unix) the *directory* is `fsync`ed —
-    /// without the final directory sync a host crash after the rename
-    /// can forget the rename itself and leave a torn or missing latest
-    /// generation.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Io`] on any filesystem failure.
-    pub fn save_sealed(&mut self, sealed: &[u8]) -> Result<PathBuf, SnapError> {
-        let gen = self.next_gen;
-        let final_path = self.dir.join(format!("ckpt-{gen:08}.mtat"));
-        let tmp_path = self.dir.join(format!(".ckpt-{gen:08}.tmp"));
-        let written: &[u8] = match self.truncate_next_write.take() {
-            Some(limit) => &sealed[..limit.min(sealed.len())],
-            None => sealed,
+        let gens = match self.dir() {
+            Some(dir) => Self::list_generations(dir)?,
+            None => Vec::new(),
         };
+        Ok(gens.into_iter().map(|(_, p)| p).collect())
+    }
+
+    /// Seals `payload` and stores it as the next generation (see
+    /// [`CheckpointStore::save_sealed`]). Returns the new generation's
+    /// number.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Io`] on any filesystem failure.
+    pub fn save(&mut self, payload: &[u8]) -> Result<u64, SnapError> {
+        self.save_sealed(seal(payload))
+    }
+
+    /// Stores an already-sealed blob as the next generation (in memory,
+    /// the blob itself), then prunes generations beyond the retention
+    /// count, and returns the new generation's number. Exists so callers
+    /// can corrupt a blob after sealing (fault injection) and still share
+    /// one persistence path.
+    ///
+    /// Durability ordering on disk: the temp file is written and
+    /// `fsync`ed, then renamed into place, then (on Unix) the
+    /// *directory* is `fsync`ed — without the final directory sync a
+    /// host crash after the rename can forget the rename itself and
+    /// leave a torn or missing latest generation.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Io`] on any filesystem failure.
+    pub fn save_sealed(&mut self, mut written: Vec<u8>) -> Result<u64, SnapError> {
+        let gen = self.next_gen;
+        if let Some(limit) = self.truncate_next_write.take() {
+            written.truncate(limit);
+        }
+        let dir = match &mut self.backend {
+            Backend::Disk(dir) => &*dir,
+            Backend::Memory(blobs) => {
+                blobs.push((gen, written));
+                blobs.drain(..blobs.len().saturating_sub(self.retain));
+                self.next_gen = gen + 1;
+                return Ok(gen);
+            }
+        };
+        let final_path = dir.join(format!("ckpt-{gen:08}.mtat"));
+        let tmp_path = dir.join(format!(".ckpt-{gen:08}.tmp"));
         {
             let mut f = fs::File::create(&tmp_path)
                 .map_err(|e| SnapError::Io(format!("create {tmp_path:?}: {e}")))?;
-            f.write_all(written)
+            f.write_all(&written)
                 .map_err(|e| SnapError::Io(format!("write {tmp_path:?}: {e}")))?;
             f.sync_all()
                 .map_err(|e| SnapError::Io(format!("sync {tmp_path:?}: {e}")))?;
@@ -614,40 +649,50 @@ impl CheckpointStore {
         // guarantee (the pre-fix behavior) stands.
         #[cfg(unix)]
         {
-            let d = fs::File::open(&self.dir)
-                .map_err(|e| SnapError::Io(format!("open dir {:?}: {e}", self.dir)))?;
+            let d =
+                fs::File::open(dir).map_err(|e| SnapError::Io(format!("open dir {dir:?}: {e}")))?;
             d.sync_all()
-                .map_err(|e| SnapError::Io(format!("sync dir {:?}: {e}", self.dir)))?;
+                .map_err(|e| SnapError::Io(format!("sync dir {dir:?}: {e}")))?;
         }
         self.next_gen = gen + 1;
 
-        let gens = Self::list_generations(&self.dir)?;
+        let gens = Self::list_generations(dir)?;
         if gens.len() > self.retain {
             for (_, path) in &gens[..gens.len() - self.retain] {
                 // Best-effort prune; a leftover old generation is harmless.
                 let _ = fs::remove_file(path);
             }
         }
-        Ok(final_path)
+        Ok(gen)
     }
 
-    /// Quarantines every generation *newer than* `gen`: the files are
-    /// renamed from `.mtat` to `.suspect`, so generation walks
-    /// ([`CheckpointStore::load_latest`], retention pruning) no longer
-    /// see them, but the bytes stay on disk for post-mortem analysis.
-    /// The rollback engine calls this after restoring a known-good
-    /// generation — anything captured after it may carry the poisoned
-    /// state that forced the rollback. Returns how many generations were
+    /// Quarantines every generation *newer than* `gen`, and every
+    /// generation when `gen` is `None` (no generation is trusted), so
+    /// generation walks ([`CheckpointStore::load_latest`], retention
+    /// pruning) no longer see them. On disk the files are renamed from
+    /// `.mtat` to `.suspect` and the bytes stay for post-mortem
+    /// analysis; in memory the blobs are dropped. The rollback engine
+    /// calls this before restoring the last known-good generation —
+    /// anything captured after it may carry the poisoned state that
+    /// forced the rollback. Returns how many generations were
     /// quarantined.
     ///
     /// # Errors
     ///
     /// [`SnapError::Io`] if the directory cannot be listed or a rename
     /// fails.
-    pub fn quarantine_newer_than(&mut self, gen: u64) -> Result<usize, SnapError> {
+    pub fn quarantine_newer_than(&mut self, gen: Option<u64>) -> Result<usize, SnapError> {
+        let dir = match &mut self.backend {
+            Backend::Disk(dir) => &*dir,
+            Backend::Memory(blobs) => {
+                let before = blobs.len();
+                blobs.retain(|&(g, _)| Some(g) <= gen);
+                return Ok(before - blobs.len());
+            }
+        };
         let mut quarantined = 0;
-        for (g, path) in Self::list_generations(&self.dir)? {
-            if g > gen {
+        for (g, path) in Self::list_generations(dir)? {
+            if Some(g) > gen {
                 let suspect = path.with_extension("suspect");
                 fs::rename(&path, &suspect)
                     .map_err(|e| SnapError::Io(format!("quarantine {path:?}: {e}")))?;
@@ -664,19 +709,11 @@ impl CheckpointStore {
     ///
     /// [`SnapError::Io`] only when the directory itself cannot be read.
     pub fn load_generation(&self, gen: u64) -> Result<Option<Vec<u8>>, SnapError> {
-        for (g, path) in Self::list_generations(&self.dir)? {
-            if g == gen {
-                let Ok(bytes) = fs::read(&path) else {
-                    return Ok(None);
-                };
-                return Ok(unseal(&bytes).ok().map(|p| p.to_vec()));
-            }
-        }
-        Ok(None)
+        Ok(self.load_newest(|g| g == gen)?.map(|(_, p)| p))
     }
 
     /// Loads the newest generation whose envelope verifies, falling back
-    /// to older generations past any corrupted file. Returns the payload
+    /// to older generations past any corrupted one. Returns the payload
     /// and `None` when no valid generation exists.
     ///
     /// # Errors
@@ -696,19 +733,25 @@ impl CheckpointStore {
     ///
     /// [`SnapError::Io`] only when the directory itself cannot be read.
     pub fn load_latest_with_generation(&self) -> Result<Option<(u64, Vec<u8>)>, SnapError> {
-        for (gen, path) in Self::list_generations(&self.dir)?.into_iter().rev() {
-            let Ok(bytes) = fs::read(&path) else { continue };
-            if let Ok(payload) = unseal(&bytes) {
-                return Ok(Some((gen, payload.to_vec())));
-            }
-        }
-        Ok(None)
+        self.load_newest(|_| true)
     }
 
-    /// The generation number the next [`CheckpointStore::save`] will
-    /// write (equivalently: how many generations were ever saved here).
-    pub fn next_generation(&self) -> u64 {
-        self.next_gen
+    /// The newest generation `want` accepts whose envelope verifies,
+    /// with its number; unreadable or corrupted ones are skipped.
+    fn load_newest(&self, want: impl Fn(u64) -> bool) -> Result<Option<(u64, Vec<u8>)>, SnapError> {
+        let verified = |g: u64, bytes: &[u8]| Some((g, unseal(bytes).ok()?.to_vec()));
+        Ok(match &self.backend {
+            Backend::Disk(dir) => Self::list_generations(dir)?
+                .into_iter()
+                .rev()
+                .filter(|&(g, _)| want(g))
+                .find_map(|(g, path)| verified(g, &fs::read(path).ok()?)),
+            Backend::Memory(blobs) => blobs
+                .iter()
+                .rev()
+                .filter(|&&(g, _)| want(g))
+                .find_map(|(g, blob)| verified(*g, blob)),
+        })
     }
 }
 
@@ -868,7 +911,8 @@ mod tests {
         let dir = tmp_dir("fallback");
         let mut store = CheckpointStore::open(&dir, 4).unwrap();
         store.save(b"generation-0").unwrap();
-        let latest = store.save(b"generation-1").unwrap();
+        store.save(b"generation-1").unwrap();
+        let latest = store.generations().unwrap().pop().unwrap();
         // Corrupt one payload byte of the newest generation on disk.
         let mut bytes = fs::read(&latest).unwrap();
         let last = bytes.len() - 1;
@@ -887,7 +931,8 @@ mod tests {
         let dir = tmp_dir("empty");
         let mut store = CheckpointStore::open(&dir, 2).unwrap();
         assert_eq!(store.load_latest().unwrap(), None);
-        let p = store.save(b"only").unwrap();
+        store.save(b"only").unwrap();
+        let p = store.generations().unwrap().pop().unwrap();
         fs::write(&p, b"garbage").unwrap();
         assert_eq!(store.load_latest().unwrap(), None);
         let _ = fs::remove_dir_all(&dir);
@@ -901,7 +946,8 @@ mod tests {
         store.save(b"b").unwrap();
         drop(store);
         let mut store = CheckpointStore::open(&dir, 10).unwrap();
-        let p = store.save(b"c").unwrap();
+        assert_eq!(store.save(b"c").unwrap(), 2);
+        let p = store.generations().unwrap().pop().unwrap();
         assert!(p.to_string_lossy().contains("ckpt-00000002"));
         assert_eq!(store.generations().unwrap().len(), 3);
         let _ = fs::remove_dir_all(&dir);
@@ -949,7 +995,7 @@ mod tests {
         store.save(b"gen-0").unwrap();
         store.save(b"gen-1").unwrap();
         store.save(b"gen-2").unwrap();
-        assert_eq!(store.quarantine_newer_than(0).unwrap(), 2);
+        assert_eq!(store.quarantine_newer_than(Some(0)).unwrap(), 2);
         let (gen, payload) = store.load_latest_with_generation().unwrap().unwrap();
         assert_eq!(gen, 0);
         assert_eq!(payload, b"gen-0".to_vec());
@@ -972,12 +1018,58 @@ mod tests {
     #[test]
     fn load_generation_fetches_specific_payloads() {
         let dir = tmp_dir("loadgen");
-        let mut store = CheckpointStore::open(&dir, 10).unwrap();
-        store.save(b"a").unwrap();
-        store.save(b"b").unwrap();
-        assert_eq!(store.load_generation(0).unwrap(), Some(b"a".to_vec()));
-        assert_eq!(store.load_generation(1).unwrap(), Some(b"b".to_vec()));
-        assert_eq!(store.load_generation(7).unwrap(), None);
+        let disk = CheckpointStore::open(&dir, 10).unwrap();
+        let mem = CheckpointStore::in_memory(10).unwrap();
+        for mut store in [disk, mem] {
+            let first = store.save(b"a").unwrap();
+            assert_eq!(store.save(b"b").unwrap(), first + 1);
+            assert_eq!(store.load_generation(first).unwrap(), Some(b"a".to_vec()));
+            assert_eq!(
+                store.load_generation(first + 1).unwrap(),
+                Some(b"b".to_vec())
+            );
+            assert_eq!(store.load_generation(7).unwrap(), None);
+            store.debug_truncate_next_write(5);
+            let torn = store.save(b"c").unwrap();
+            assert_eq!(store.load_generation(torn).unwrap(), None, "torn");
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The in-memory mode keeps the disk mode's semantics: numbering
+    /// (from 1), retention, fallback past a torn generation, and
+    /// quarantine — where `None` quarantines every generation, on both
+    /// backends.
+    #[test]
+    fn in_memory_store_matches_disk_semantics() {
+        let mut mem = CheckpointStore::in_memory(3).unwrap();
+        assert_eq!(mem.dir(), None);
+        assert_eq!(mem.load_latest().unwrap(), None);
+        for i in 0u8..5 {
+            assert_eq!(mem.save(&[i; 4]).unwrap(), u64::from(i) + 1);
+        }
+        mem.debug_truncate_next_write(7);
+        assert_eq!(mem.save(b"torn").unwrap(), 6);
+        assert_eq!(
+            mem.load_latest_with_generation().unwrap(),
+            Some((5, vec![4u8; 4])),
+            "the torn generation 6 is skipped"
+        );
+        // Retention keeps generations 4 to 6 of the six saved.
+        assert_eq!(mem.quarantine_newer_than(Some(4)).unwrap(), 2);
+        assert_eq!(mem.load_latest_with_generation().unwrap().unwrap().0, 4);
+        assert_eq!(mem.quarantine_newer_than(None).unwrap(), 1);
+        assert_eq!(mem.load_latest().unwrap(), None);
+        assert!(CheckpointStore::in_memory(0).is_err());
+
+        let dir = tmp_dir("quarantine-all");
+        let mut disk = CheckpointStore::open(&dir, 3).unwrap();
+        assert_eq!(disk.dir(), Some(dir.as_path()));
+        disk.save(b"gen-0").unwrap();
+        disk.save(b"gen-1").unwrap();
+        assert_eq!(disk.quarantine_newer_than(None).unwrap(), 2);
+        assert_eq!(disk.load_latest().unwrap(), None);
+        assert_eq!(disk.save(b"gen-2").unwrap(), 2);
         let _ = fs::remove_dir_all(&dir);
     }
 }

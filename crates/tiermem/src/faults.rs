@@ -5,8 +5,8 @@
 //! telemetry arrives late. This module reproduces those failure modes in
 //! the simulator, reproducibly: a [`FaultPlan`] is a serializable list
 //! of timed fault windows plus a `u64` seed, and a [`FaultInjector`]
-//! turns it into a per-tick [`TickFaults`] effect set plus a recorded
-//! trace. Identical plans produce identical traces and identical runs.
+//! turns it into a per-tick [`TickFaults`] effect set. Identical plans
+//! produce identical effects and identical runs.
 //!
 //! Nothing here holds global state. The simulation driver owns the
 //! injector and pushes the per-tick effects into the substrate through
@@ -173,11 +173,6 @@ impl FaultPlan {
         self
     }
 
-    /// True when the plan injects nothing.
-    pub fn is_empty(&self) -> bool {
-        self.windows.is_empty()
-    }
-
     /// The latest instant at which any window is still active.
     pub fn last_fault_end_secs(&self) -> f64 {
         self.windows
@@ -257,37 +252,22 @@ impl Default for TickFaults {
     }
 }
 
-/// Evaluates a [`FaultPlan`] tick by tick, recording the trace.
+/// Evaluates a [`FaultPlan`] tick by tick.
 #[derive(Debug, Clone)]
 pub struct FaultInjector {
     plan: FaultPlan,
     rng: StdRng,
-    trace: Vec<TickFaults>,
 }
 
 impl FaultInjector {
     /// Builds an injector; all randomness derives from `plan.seed`.
     pub fn new(plan: FaultPlan) -> Self {
         let rng = StdRng::seed_from_u64(plan.seed ^ 0xFA_17);
-        FaultInjector {
-            plan,
-            rng,
-            trace: Vec::new(),
-        }
-    }
-
-    /// True when the plan injects nothing (every hook may be skipped).
-    pub fn is_disabled(&self) -> bool {
-        self.plan.is_empty()
-    }
-
-    /// The plan being executed.
-    pub fn plan(&self) -> &FaultPlan {
-        &self.plan
+        FaultInjector { plan, rng }
     }
 
     /// Computes the combined effects for the tick starting at
-    /// `now_secs`, appends them to the trace, and returns them.
+    /// `now_secs`: [`TickFaults::nominal`] when no window is active.
     pub fn begin_tick(&mut self, now_secs: f64) -> TickFaults {
         let mut t = TickFaults::nominal();
         for w in &self.plan.windows {
@@ -336,7 +316,6 @@ impl FaultInjector {
                 }
             }
         }
-        self.trace.push(t);
         t
     }
 
@@ -349,38 +328,6 @@ impl FaultInjector {
         }
         1.0 + self.rng.gen_range(-amplitude..amplitude)
     }
-
-    /// The per-tick effect trace recorded so far.
-    pub fn trace(&self) -> &[TickFaults] {
-        &self.trace
-    }
-
-    /// The injector's mutable state — the position of its seeded random
-    /// stream. Together with the (immutable) plan this fully determines
-    /// all future output, so a fault window that straddles a
-    /// checkpoint/restore boundary survives the restore bit-identically:
-    /// capture this, rebuild with [`FaultInjector::new`], and
-    /// [`FaultInjector::restore_state`] the value.
-    pub fn state(&self) -> FaultInjectorState {
-        FaultInjectorState {
-            rng_state: self.rng.state(),
-        }
-    }
-
-    /// Restores a state captured by [`FaultInjector::state`]. The trace
-    /// restarts empty; the effect stream continues exactly where the
-    /// captured injector left off.
-    pub fn restore_state(&mut self, s: FaultInjectorState) {
-        self.rng = StdRng::from_state(s.rng_state);
-    }
-}
-
-/// Opaque snapshot of a [`FaultInjector`]'s mutable state (see
-/// [`FaultInjector::state`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct FaultInjectorState {
-    /// Raw RNG state of the injector's seeded stream.
-    pub rng_state: u64,
 }
 
 #[cfg(test)]
@@ -400,7 +347,6 @@ mod tests {
     #[test]
     fn none_is_empty_and_nominal() {
         let mut inj = FaultInjector::new(FaultPlan::none());
-        assert!(inj.is_disabled());
         for t in 0..50 {
             assert!(inj.begin_tick(t as f64).is_nominal());
         }
@@ -464,7 +410,6 @@ mod tests {
             assert_eq!(a.begin_tick(now), b.begin_tick(now));
             assert_eq!(a.noise_factor(0.2), b.noise_factor(0.2));
         }
-        assert_eq!(a.trace(), b.trace());
     }
 
     #[test]
@@ -565,42 +510,5 @@ mod tests {
         let t = worst.begin_tick(0.0);
         assert!(t.sac_poison, "a full-intensity storm poisons the actor");
         assert_eq!(t.migration_bw_factor, 1.0 - 0.8);
-    }
-
-    #[test]
-    fn injector_state_survives_restore_bit_identically() {
-        // A noise window (which consumes the seeded stream) straddles a
-        // simulated checkpoint/restore at t = 10: the restored injector
-        // must continue the exact same draw sequence.
-        let p = FaultPlan::new(0x51AD)
-            .with(FaultKind::TelemetryNoise { amplitude: 0.2 }, 5.0, 20.0)
-            .with(FaultKind::FaultStorm { intensity: 0.4 }, 8.0, 15.0);
-        let mut reference = FaultInjector::new(p.clone());
-        let mut live = FaultInjector::new(p.clone());
-        for tick in 0..10 {
-            let now = tick as f64;
-            let a = reference.begin_tick(now);
-            let b = live.begin_tick(now);
-            assert_eq!(a, b);
-            assert_eq!(
-                reference.noise_factor(a.telemetry_noise_amp).to_bits(),
-                live.noise_factor(b.telemetry_noise_amp).to_bits()
-            );
-        }
-        // "Crash" mid-window and rebuild from plan + captured state.
-        let saved = live.state();
-        let mut restored = FaultInjector::new(p);
-        restored.restore_state(saved);
-        for tick in 10..30 {
-            let now = tick as f64;
-            let a = reference.begin_tick(now);
-            let b = restored.begin_tick(now);
-            assert_eq!(a, b, "tick {tick}");
-            assert_eq!(
-                reference.noise_factor(a.telemetry_noise_amp).to_bits(),
-                restored.noise_factor(b.telemetry_noise_amp).to_bits(),
-                "tick {tick}"
-            );
-        }
     }
 }

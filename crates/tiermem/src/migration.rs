@@ -57,8 +57,9 @@ pub struct MigrationEngine {
     /// the page does not change tier.
     fault_fail_prob: f64,
     /// Seeded stream for per-move failure draws; `None` until
-    /// [`MigrationEngine::set_fault_seed`] is called, so fault-free
-    /// engines carry no generator at all.
+    /// [`MigrationEngine::set_fault_seed`] is called. The runner seeds
+    /// every engine, fault-free runs included; a zero `fault_fail_prob`
+    /// never draws from it.
     fault_rng: Option<StdRng>,
     /// Page moves that transiently failed (injected faults), total.
     failed_moves: u64,
@@ -138,7 +139,7 @@ impl MigrationEngine {
 
     /// Seeds the per-move failure stream (fault injection only). Without
     /// this call the engine never fails a granted move, whatever
-    /// `fail_prob` says — fault-free runs carry no generator.
+    /// `fail_prob` says; with it, a zero `fail_prob` never draws.
     pub fn set_fault_seed(&mut self, seed: u64) {
         self.fault_rng = Some(StdRng::seed_from_u64(seed ^ 0x4D16));
     }
