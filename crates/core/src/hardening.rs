@@ -5,13 +5,12 @@
 //! *adversarial workloads* ([`mtat_workloads::scenario`]) — the regime
 //! where Jenga shows watermark policies collapse into migration
 //! thrashing and MaxMem shows colocation falls apart under antagonistic
-//! neighbors. Three guards, each independently toggleable through
-//! [`HardeningCfg`] so the `Hardened` vs `Naive` ablation arms of the
-//! adversarial matrix isolate what each one buys:
+//! neighbors. Three guards run together in the `Hardened` arm of the
+//! adversarial matrix; the `Naive` arm runs none:
 //!
-//! * [`ThrashCfg`] — a **thrash detector** over per-workload migration
-//!   ping-pong. Net residency is blind to a perfect promote↔demote
-//!   cycle, so the signal is built from the cumulative per-direction
+//! * a **thrash detector** over per-workload migration ping-pong. Net
+//!   residency is blind to a perfect promote↔demote cycle, so the
+//!   signal is built from the cumulative per-direction
 //!   [`MigrationFlow`] counters, and it watches both thrash shapes the
 //!   simulator can produce: the *within-interval* reversal ratio
 //!   `2·min(p,d)/(p+d)` (refinement ping-pong) and the
@@ -25,142 +24,68 @@
 //!   suppresses the very flows the signal measures, the EWMA holds
 //!   frozen while quarantined rather than decaying toward a false calm;
 //!   liveness comes from the bound instead — every quarantine ends
-//!   after `quarantine_intervals` and is followed by at least one
+//!   after `QUARANTINE_INTERVALS` and is followed by at least one
 //!   unfrozen probation interval, so promotions are never permanently
 //!   starved (property-tested under arbitrary reversal streams).
-//! * [`PressureCfg`] — a **working-set-pressure guard**: a collapse of
-//!   the mean BE hit ratio against its own EWMA baseline (the
-//!   signature of a working-set blowup — suddenly uniform popularity
-//!   makes the resident set buy a fraction of its old hits) throttles
-//!   migration churn and escalates through the existing
-//!   [`Supervisor`](crate::supervisor::Supervisor) ladder to the
-//!   proportional controller, which does not chase mass that is about
-//!   to vanish.
-//! * [`LeakCfg`] — **leak-drift renormalization**: a slow, sustained
-//!   downward drift of the BE hit ratio (leaked pages keep their RSS
-//!   but stop being accessed, so the histograms carry stale popularity
-//!   mass) triggers an extra histogram aging pass, renormalizing rank
-//!   order toward the live mass.
+//! * a **working-set-pressure guard**: a collapse of the mean BE hit
+//!   ratio against its own EWMA baseline (the signature of a working-set
+//!   blowup — suddenly uniform popularity makes the resident set buy a
+//!   fraction of its old hits) throttles migration churn and escalates
+//!   through the existing [`Supervisor`](crate::supervisor::Supervisor)
+//!   ladder to the proportional controller, which does not chase mass
+//!   that is about to vanish.
+//! * **leak-drift renormalization**: a slow, sustained downward drift of
+//!   the BE hit ratio (leaked pages keep their RSS but stop being
+//!   accessed, so the histograms carry stale popularity mass) triggers
+//!   an extra histogram aging pass, renormalizing rank order toward the
+//!   live mass.
 //!
 //! Guard state is deliberately **ephemeral**: it is sensor state over
 //! the live run, excluded from PP-M checkpoints, and reset on cold
 //! restart. All inputs are deterministic functions of the simulation,
-//! so hardened runs replay bit-identically; with no [`HardeningCfg`]
-//! installed, no guard code executes and behavior is bit-identical to
-//! the pre-hardening policy.
+//! so hardened runs replay bit-identically; an unhardened policy holds
+//! no [`Hardening`], so no guard code executes and behavior is
+//! bit-identical to the pre-hardening policy.
 
 use mtat_tiermem::memory::{MigrationFlow, TieredMemory};
 
 use crate::policy::WorkloadObs;
 
-/// Thrash-detector tuning. Defaults via [`ThrashCfg::default`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct ThrashCfg {
-    /// EWMA smoothing factor for the reversal signal in (0, 1].
-    pub ewma_alpha: f64,
-    /// EWMA level that enters quarantine.
-    pub trigger: f64,
-    /// Level the EWMA re-arms at when a quarantine ends (hysteresis:
-    /// `release` < `trigger`, so one calm probation interval stands
-    /// the guard down while one thrashy probation interval climbs
-    /// straight back over the trigger).
-    pub release: f64,
-    /// Maximum consecutive quarantined intervals before the forced
-    /// probation interval (liveness bound: the frozen fraction of any
-    /// window never exceeds `q / (q + 1)`).
-    pub quarantine_intervals: u32,
-    /// Total per-interval migration volume (pages, both directions)
-    /// below which the reversal signal is attenuated — a dozen
-    /// ping-ponged pages are noise, not thrash.
-    pub min_volume_pages: u64,
-}
-
-impl Default for ThrashCfg {
-    fn default() -> Self {
-        Self {
-            ewma_alpha: 0.45,
-            trigger: 0.5,
-            release: 0.2,
-            quarantine_intervals: 8,
-            min_volume_pages: 64,
-        }
-    }
-}
-
-/// Working-set-pressure guard tuning. Defaults via
-/// [`PressureCfg::default`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PressureCfg {
-    /// EWMA smoothing factor for the BE hit-ratio baseline in (0, 1].
-    pub baseline_alpha: f64,
-    /// Collapse threshold: pressure triggers when the interval's mean
-    /// BE hit ratio falls below `baseline · collapse_frac`.
-    pub collapse_frac: f64,
-    /// Intervals the throttle (and ladder escalation) holds after a
-    /// trigger.
-    pub hold_intervals: u32,
-    /// Migration-churn throttle while pressure holds: per-slice pair
-    /// caps and refinement appetite are right-shifted by this many
-    /// bits (2 ⇒ quarter rate).
-    pub throttle_shift: u32,
-}
-
-impl Default for PressureCfg {
-    fn default() -> Self {
-        Self {
-            baseline_alpha: 0.3,
-            collapse_frac: 0.6,
-            hold_intervals: 3,
-            throttle_shift: 2,
-        }
-    }
-}
-
-/// Leak-drift renormalization tuning. Defaults via
-/// [`LeakCfg::default`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LeakCfg {
-    /// Decay factor applied to the drift accumulator each interval (a
-    /// leaky integrator: slow sustained decline accumulates, one noisy
-    /// interval washes out).
-    pub decay: f64,
-    /// Accumulated hit-ratio decline that triggers an extra histogram
-    /// aging pass.
-    pub trigger_drift: f64,
-}
-
-impl Default for LeakCfg {
-    fn default() -> Self {
-        Self {
-            decay: 0.8,
-            trigger_drift: 0.05,
-        }
-    }
-}
-
-/// Which guards run. Each is independent; [`HardeningCfg::hardened`]
-/// enables all three with defaults — the `Hardened` arm of the
-/// ablation. `Naive` is simply the absence of a `HardeningCfg`.
-#[derive(Debug, Clone, PartialEq, Default)]
-pub struct HardeningCfg {
-    /// Migration ping-pong detector + quarantine.
-    pub thrash: Option<ThrashCfg>,
-    /// Working-set blowup throttle + ladder escalation.
-    pub pressure: Option<PressureCfg>,
-    /// Stale-popularity renormalization.
-    pub leak: Option<LeakCfg>,
-}
-
-impl HardeningCfg {
-    /// All guards on, default tuning.
-    pub fn hardened() -> Self {
-        Self {
-            thrash: Some(ThrashCfg::default()),
-            pressure: Some(PressureCfg::default()),
-            leak: Some(LeakCfg::default()),
-        }
-    }
-}
+/// Thrash detector: EWMA smoothing factor of the reversal signal.
+const THRASH_EWMA_ALPHA: f64 = 0.45;
+/// Thrash detector: EWMA level that enters quarantine.
+const THRASH_TRIGGER: f64 = 0.5;
+/// Thrash detector: level the EWMA re-arms at when a quarantine ends
+/// (hysteresis: below [`THRASH_TRIGGER`], so one calm probation interval
+/// stands the guard down while one thrashy probation interval climbs
+/// straight back over the trigger).
+const THRASH_RELEASE: f64 = 0.2;
+/// Thrash detector: maximum consecutive quarantined intervals before the
+/// forced probation interval (liveness bound: the frozen fraction of any
+/// window never exceeds `q / (q + 1)`).
+const QUARANTINE_INTERVALS: u32 = 8;
+/// Thrash detector: total per-interval migration volume (pages, both
+/// directions) below which the reversal signal is attenuated — a dozen
+/// ping-ponged pages are noise, not thrash.
+const MIN_VOLUME_PAGES: u64 = 64;
+/// Pressure guard: EWMA smoothing factor of the BE hit-ratio baseline.
+const PRESSURE_BASELINE_ALPHA: f64 = 0.3;
+/// Pressure guard: triggers when the interval's mean BE hit ratio falls
+/// below `baseline · COLLAPSE_FRAC`.
+const COLLAPSE_FRAC: f64 = 0.6;
+/// Pressure guard: intervals the throttle (and ladder escalation) holds
+/// after a trigger.
+const PRESSURE_HOLD_INTERVALS: u32 = 3;
+/// Pressure guard: per-slice pair caps and refinement appetite are
+/// right-shifted by this many bits while pressure holds (quarter rate).
+const THROTTLE_SHIFT: u32 = 2;
+/// Leak guard: decay applied to the drift accumulator each interval (a
+/// leaky integrator: slow sustained decline accumulates, one noisy
+/// interval washes out).
+const LEAK_DECAY: f64 = 0.8;
+/// Leak guard: accumulated hit-ratio decline that triggers an extra
+/// histogram aging pass.
+const LEAK_TRIGGER_DRIFT: f64 = 0.05;
 
 /// What the guards decided at an interval boundary. The policy applies
 /// these through its existing levers (PP-E freeze/throttle, supervisor
@@ -191,10 +116,9 @@ pub struct GuardStats {
 }
 
 /// Live guard state. One instance per policy; see the module docs for
-/// the state machines.
-#[derive(Debug, Clone)]
+/// the state machines. The default is the state of a fresh run.
+#[derive(Debug, Clone, Default)]
 pub struct Hardening {
-    cfg: HardeningCfg,
     /// Migration-flow snapshot at the previous interval boundary.
     last_flows: Vec<MigrationFlow>,
     /// Per-workload signed net flow (promoted − demoted) of the
@@ -215,31 +139,6 @@ pub struct Hardening {
 }
 
 impl Hardening {
-    /// Creates the guard state for a fresh run.
-    pub fn new(cfg: HardeningCfg) -> Self {
-        Self {
-            cfg,
-            last_flows: Vec::new(),
-            last_net: Vec::new(),
-            thrash_ewma: 0.0,
-            quarantined: false,
-            quarantine_left: 0,
-            cooldown_left: 0,
-            be_hit_baseline: None,
-            pressure_left: 0,
-            leak_accum: 0.0,
-            last_be_hit: None,
-            stats: GuardStats::default(),
-        }
-    }
-
-    /// Resets all guard state (cold restart: the sensors' history died
-    /// with the daemon).
-    pub fn reset(&mut self) {
-        let cfg = self.cfg.clone();
-        *self = Self::new(cfg);
-    }
-
     /// Whether placement churn is currently quarantined by the thrash
     /// guard.
     #[inline]
@@ -252,7 +151,7 @@ impl Hardening {
     #[inline]
     pub fn throttle_shift(&self) -> u32 {
         if self.pressure_left > 0 {
-            self.cfg.pressure.as_ref().map_or(0, |p| p.throttle_shift)
+            THROTTLE_SHIFT
         } else {
             0
         }
@@ -270,21 +169,15 @@ impl Hardening {
         self.stats
     }
 
-    /// Advances every enabled guard one partitioning interval and
-    /// returns the actions the policy must apply. Pure arithmetic over
-    /// deterministic inputs — no RNG, no clock.
+    /// Advances every guard one partitioning interval and returns the
+    /// actions the policy must apply. Pure arithmetic over deterministic
+    /// inputs — no RNG, no clock.
     pub fn on_interval(&mut self, mem: &TieredMemory, workloads: &[WorkloadObs]) -> GuardActions {
         let mut actions = GuardActions::default();
-        if self.cfg.thrash.is_some() {
-            self.thrash_interval(mem, workloads, &mut actions);
-        }
+        self.thrash_interval(mem, workloads, &mut actions);
         let be_hit = mean_be_hit(workloads);
-        if self.cfg.pressure.is_some() {
-            self.pressure_interval(be_hit, &mut actions);
-        }
-        if self.cfg.leak.is_some() {
-            self.leak_interval(be_hit, &mut actions);
-        }
+        self.pressure_interval(be_hit, &mut actions);
+        self.leak_interval(be_hit, &mut actions);
         actions
     }
 
@@ -297,11 +190,10 @@ impl Hardening {
         workloads: &[WorkloadObs],
         actions: &mut GuardActions,
     ) {
-        let cfg = self.cfg.thrash.as_ref().expect("guard enabled");
         self.last_flows
             .resize(workloads.len(), MigrationFlow::default());
         self.last_net.resize(workloads.len(), 0.0);
-        let floor = cfg.min_volume_pages.max(1) as f64;
+        let floor = MIN_VOLUME_PAGES as f64;
         let mut weighted = 0.0f64;
         let mut total_vol = 0u64;
         for (i, (o, last)) in workloads.iter().zip(self.last_flows.iter_mut()).enumerate() {
@@ -351,7 +243,7 @@ impl Hardening {
                 // Re-arm at `release`: one calm probation interval
                 // stands the guard down, one thrashy probation
                 // interval climbs straight back over the trigger.
-                self.thrash_ewma = cfg.release;
+                self.thrash_ewma = THRASH_RELEASE;
                 // Liveness: at least one unfrozen interval before the
                 // guard may re-trigger, no matter what the signal does.
                 self.cooldown_left = 1;
@@ -359,12 +251,12 @@ impl Hardening {
             }
             return;
         }
-        self.thrash_ewma += cfg.ewma_alpha * (signal - self.thrash_ewma);
+        self.thrash_ewma += THRASH_EWMA_ALPHA * (signal - self.thrash_ewma);
         if self.cooldown_left > 0 {
             self.cooldown_left -= 1;
-        } else if self.thrash_ewma > cfg.trigger {
+        } else if self.thrash_ewma > THRASH_TRIGGER {
             self.quarantined = true;
-            self.quarantine_left = cfg.quarantine_intervals.max(1);
+            self.quarantine_left = QUARANTINE_INTERVALS;
             self.stats.quarantines += 1;
             actions.quarantine_entered = true;
         }
@@ -372,27 +264,27 @@ impl Hardening {
 
     /// Pressure guard: hit-ratio collapse against the EWMA baseline.
     fn pressure_interval(&mut self, be_hit: Option<f64>, actions: &mut GuardActions) {
-        let cfg = self.cfg.pressure.as_ref().expect("guard enabled");
         let Some(cur) = be_hit else { return };
         match self.be_hit_baseline {
             None => self.be_hit_baseline = Some(cur),
             Some(base) => {
-                let collapsed = base > 0.05 && cur < base * cfg.collapse_frac;
+                let collapsed = base > 0.05 && cur < base * COLLAPSE_FRAC;
                 if collapsed {
                     if self.pressure_left == 0 {
                         self.stats.pressure_events += 1;
                         actions.escalate_pressure = true;
                     }
-                    self.pressure_left = cfg.hold_intervals.max(1);
+                    self.pressure_left = PRESSURE_HOLD_INTERVALS;
                     // Track the collapsed regime only slowly: if the
                     // blowup is transient the baseline must still
                     // remember the pre-blowup normal; if it is the new
                     // permanent regime the guard adapts and stands
                     // down within a few tens of intervals.
-                    self.be_hit_baseline = Some(base + cfg.baseline_alpha * 0.25 * (cur - base));
+                    self.be_hit_baseline =
+                        Some(base + PRESSURE_BASELINE_ALPHA * 0.25 * (cur - base));
                 } else {
                     self.pressure_left = self.pressure_left.saturating_sub(1);
-                    self.be_hit_baseline = Some(base + cfg.baseline_alpha * (cur - base));
+                    self.be_hit_baseline = Some(base + PRESSURE_BASELINE_ALPHA * (cur - base));
                 }
             }
         }
@@ -400,12 +292,11 @@ impl Hardening {
 
     /// Leak guard: leaky integrator over sustained hit-ratio decline.
     fn leak_interval(&mut self, be_hit: Option<f64>, actions: &mut GuardActions) {
-        let cfg = self.cfg.leak.as_ref().expect("guard enabled");
         let Some(cur) = be_hit else { return };
         if let Some(last) = self.last_be_hit {
             let decline = (last - cur).max(0.0);
-            self.leak_accum = self.leak_accum * cfg.decay + decline;
-            if self.leak_accum > cfg.trigger_drift {
+            self.leak_accum = self.leak_accum * LEAK_DECAY + decline;
+            if self.leak_accum > LEAK_TRIGGER_DRIFT {
                 self.leak_accum = 0.0;
                 self.stats.leak_renorms += 1;
                 actions.extra_age = true;
@@ -486,11 +377,7 @@ mod tests {
     #[test]
     fn thrash_quarantines_and_releases_with_hysteresis() {
         let (mut mem, obs) = setup(3);
-        let mut h = Hardening::new(HardeningCfg {
-            thrash: Some(ThrashCfg::default()),
-            pressure: None,
-            leak: None,
-        });
+        let mut h = Hardening::default();
         // Sustained heavy ping-pong: the EWMA climbs past the trigger.
         // Stop the assault once quarantined (in the real loop the freeze
         // itself suppresses the refinement churn that drives it).
@@ -522,11 +409,7 @@ mod tests {
     #[test]
     fn alternating_slab_flow_is_thrash() {
         let (mut mem, obs) = setup(3);
-        let mut h = Hardening::new(HardeningCfg {
-            thrash: Some(ThrashCfg::default()),
-            pressure: None,
-            leak: None,
-        });
+        let mut h = Hardening::default();
         let base = mem.region(obs[1].id).base;
         let mut entered = false;
         for round in 0..8 {
@@ -554,11 +437,7 @@ mod tests {
     #[test]
     fn one_directional_flow_is_not_thrash() {
         let (mut mem, obs) = setup(3);
-        let mut h = Hardening::new(HardeningCfg {
-            thrash: Some(ThrashCfg::default()),
-            pressure: None,
-            leak: None,
-        });
+        let mut h = Hardening::default();
         let base = mem.region(obs[1].id).base;
         for round in 0..6 {
             // 200 promotions per interval, zero demotions.
@@ -577,11 +456,7 @@ mod tests {
     #[test]
     fn pressure_escalates_on_hit_collapse_and_recovers() {
         let (mem, mut obs) = setup(3);
-        let mut h = Hardening::new(HardeningCfg {
-            thrash: None,
-            pressure: Some(PressureCfg::default()),
-            leak: None,
-        });
+        let mut h = Hardening::default();
         // Stable baseline.
         for _ in 0..5 {
             let a = h.on_interval(&mem, &obs);
@@ -599,7 +474,7 @@ mod tests {
         for o in obs.iter_mut().filter(|o| !o.is_lc()) {
             o.hit_ratio = 0.5;
         }
-        for _ in 0..PressureCfg::default().hold_intervals + 1 {
+        for _ in 0..PRESSURE_HOLD_INTERVALS + 1 {
             h.on_interval(&mem, &obs);
         }
         assert_eq!(h.throttle_shift(), 0);
@@ -608,11 +483,7 @@ mod tests {
     #[test]
     fn leak_drift_triggers_renormalization() {
         let (mem, mut obs) = setup(3);
-        let mut h = Hardening::new(HardeningCfg {
-            thrash: None,
-            pressure: None,
-            leak: Some(LeakCfg::default()),
-        });
+        let mut h = Hardening::default();
         // Slow sustained decline: 2% of hit ratio per interval.
         let mut renorms = 0;
         for i in 0..20 {
@@ -625,11 +496,7 @@ mod tests {
         }
         assert!(renorms >= 1, "sustained drift must renormalize");
         // A stable ratio never triggers.
-        let mut h2 = Hardening::new(HardeningCfg {
-            thrash: None,
-            pressure: None,
-            leak: Some(LeakCfg::default()),
-        });
+        let mut h2 = Hardening::default();
         for _ in 0..20 {
             assert!(!h2.on_interval(&mem, &obs).extra_age);
         }
@@ -645,13 +512,8 @@ mod tests {
             rounds in proptest::collection::vec((0u64..400, 0u64..400), 1..60)
         ) {
             let (mut mem, obs) = setup(2);
-            let cfg = ThrashCfg::default();
-            let q = cfg.quarantine_intervals as usize;
-            let mut h = Hardening::new(HardeningCfg {
-                thrash: Some(cfg),
-                pressure: None,
-                leak: None,
-            });
+            let q = QUARANTINE_INTERVALS as usize;
+            let mut h = Hardening::default();
             let base = mem.region(obs[1].id).base;
             let mut consecutive = 0usize;
             for &(p, d) in &rounds {

@@ -38,6 +38,8 @@
 
 use std::collections::VecDeque;
 
+use mtat_obs::export::json_string;
+
 /// Current position in the health state machine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HealthState {
@@ -88,60 +90,26 @@ impl RecoveryMode {
     }
 }
 
-/// Health subsystem thresholds.
+/// Health subsystem configuration: the recovery arm. The thresholds are
+/// constants (below).
 #[derive(Debug, Clone)]
 pub struct HealthConfig {
     /// What recovery the runner performs on an incident.
     pub recovery: RecoveryMode,
-    /// Maximum rollbacks inside any sliding `budget_window_secs` window
-    /// before the monitor escalates to quarantine.
-    pub rollback_budget: u32,
-    /// Width of the rollback-budget sliding window (seconds, sim time).
-    pub budget_window_secs: f64,
-    /// Incidents arriving within this long after a completed rollback
-    /// are answered with [`Directive::Repair`] instead of a second
-    /// rollback — hysteresis against rollback storms while the restored
-    /// state warms back up.
-    pub hysteresis_secs: f64,
-    /// Clean ticks required in [`HealthState::Recovering`] before the
-    /// monitor returns to [`HealthState::Healthy`].
-    pub recovering_ticks: u32,
-    /// Consecutive SLO-violating ticks before Healthy degrades.
-    pub degraded_slo_streak: u32,
-    /// A tick whose wall-clock budget is stretched beyond this factor
-    /// (driven by the simulated clock-skew fault) counts as a watchdog
-    /// overrun.
-    pub watchdog_budget_factor: f64,
-    /// Consecutive overrun ticks before the watchdog raises an incident.
-    pub watchdog_streak: u32,
-}
-
-impl Default for HealthConfig {
-    fn default() -> Self {
-        Self {
-            recovery: RecoveryMode::SelfHeal,
-            rollback_budget: 3,
-            budget_window_secs: 600.0,
-            hysteresis_secs: 15.0,
-            recovering_ticks: 10,
-            degraded_slo_streak: 8,
-            watchdog_budget_factor: 2.5,
-            watchdog_streak: 3,
-        }
-    }
 }
 
 impl HealthConfig {
-    /// Default self-healing configuration.
+    /// Full self-healing.
     pub fn self_heal() -> Self {
-        Self::default()
+        Self {
+            recovery: RecoveryMode::SelfHeal,
+        }
     }
 
     /// Crash-stop ablation arm.
     pub fn crash_stop() -> Self {
         Self {
             recovery: RecoveryMode::CrashStop,
-            ..Self::default()
         }
     }
 
@@ -149,23 +117,31 @@ impl HealthConfig {
     pub fn no_rollback() -> Self {
         Self {
             recovery: RecoveryMode::NoRollback,
-            ..Self::default()
         }
     }
-
-    /// Overrides the rollback budget.
-    pub fn with_budget(mut self, budget: u32, window_secs: f64) -> Self {
-        self.rollback_budget = budget;
-        self.budget_window_secs = window_secs;
-        self
-    }
-
-    /// Overrides the post-rollback hysteresis window.
-    pub fn with_hysteresis(mut self, secs: f64) -> Self {
-        self.hysteresis_secs = secs;
-        self
-    }
 }
+
+/// Maximum rollbacks inside any sliding [`BUDGET_WINDOW_SECS`] window
+/// before the monitor escalates to quarantine.
+const ROLLBACK_BUDGET: usize = 3;
+/// Width of the rollback-budget sliding window (seconds, sim time).
+const BUDGET_WINDOW_SECS: f64 = 600.0;
+/// Incidents arriving within this long after a completed rollback are
+/// answered with [`Directive::Repair`] instead of a second rollback —
+/// hysteresis against rollback storms while the restored state warms
+/// back up.
+const HYSTERESIS_SECS: f64 = 15.0;
+/// Clean ticks required in [`HealthState::Recovering`] before the
+/// monitor returns to [`HealthState::Healthy`].
+const RECOVERING_TICKS: u32 = 10;
+/// Consecutive SLO-violating ticks before Healthy degrades.
+const DEGRADED_SLO_STREAK: u32 = 8;
+/// A tick whose wall-clock budget is stretched beyond this factor
+/// (driven by the simulated clock-skew fault) counts as a watchdog
+/// overrun.
+const WATCHDOG_BUDGET_FACTOR: f64 = 2.5;
+/// Consecutive overrun ticks before the watchdog raises an incident.
+const WATCHDOG_STREAK: u32 = 3;
 
 /// A detected fault the monitor must answer.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -231,31 +207,16 @@ pub struct HealthEvent {
 }
 
 impl HealthEvent {
-    /// Renders the event as one JSON line (hand-rolled: the vendored
-    /// serde is a no-op stub by design).
+    /// Renders the event as one JSON line.
     pub fn jsonl(&self) -> String {
         format!(
-            "{{\"t\":{:.3},\"kind\":\"{}\",\"detail\":\"{}\",\"state\":\"{}\"}}",
+            "{{\"t\":{:.3},\"kind\":{},\"detail\":{},\"state\":\"{}\"}}",
             self.at_secs,
-            escape_json(&self.kind),
-            escape_json(&self.detail),
+            json_string(&self.kind),
+            json_string(&self.detail),
             self.state.label()
         )
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// End-of-run health accounting, attached to
@@ -290,7 +251,7 @@ pub struct HealthSummary {
 /// per tick and consulted whenever a sentinel fires.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
-    cfg: HealthConfig,
+    recovery: RecoveryMode,
     state: HealthState,
     /// Completion times of rollbacks inside the sliding budget window.
     rollback_window: VecDeque<f64>,
@@ -311,7 +272,7 @@ impl HealthMonitor {
     /// A monitor starting Healthy.
     pub fn new(cfg: HealthConfig) -> Self {
         Self {
-            cfg,
+            recovery: cfg.recovery,
             state: HealthState::Healthy,
             rollback_window: VecDeque::new(),
             last_rollback_at: None,
@@ -335,7 +296,7 @@ impl HealthMonitor {
 
     /// The configured recovery mode.
     pub fn recovery(&self) -> RecoveryMode {
-        self.cfg.recovery
+        self.recovery
     }
 
     /// Whether the run is parked in quarantine. Sentinel scans stop
@@ -387,7 +348,7 @@ impl HealthMonitor {
         }
         match self.state {
             HealthState::Healthy => {
-                if self.slo_streak >= self.cfg.degraded_slo_streak {
+                if self.slo_streak >= DEGRADED_SLO_STREAK {
                     self.transition(now_secs, HealthState::Degraded, "slo violation streak");
                 }
             }
@@ -406,12 +367,10 @@ impl HealthMonitor {
         }
 
         // Watchdog: sustained tick-budget overruns raise an incident.
-        if clock_skew_factor > self.cfg.watchdog_budget_factor {
+        if clock_skew_factor > WATCHDOG_BUDGET_FACTOR {
             self.watchdog_overruns += 1;
             self.watchdog_streak += 1;
-            if self.state != HealthState::Quarantined
-                && self.watchdog_streak >= self.cfg.watchdog_streak
-            {
+            if self.state != HealthState::Quarantined && self.watchdog_streak >= WATCHDOG_STREAK {
                 self.watchdog_streak = 0;
                 return Some(Incident::WatchdogOverrun);
             }
@@ -440,7 +399,7 @@ impl HealthMonitor {
         if self.state == HealthState::Quarantined {
             return Directive::Repair;
         }
-        match self.cfg.recovery {
+        match self.recovery {
             RecoveryMode::CrashStop => {
                 self.unrecovered += 1;
                 self.push_event(now_secs, "crash_stop", incident.label());
@@ -457,7 +416,7 @@ impl HealthMonitor {
                 // gets a repair, not another rollback — the restored
                 // state needs room to warm up.
                 if let Some(last) = self.last_rollback_at {
-                    if now_secs - last < self.cfg.hysteresis_secs {
+                    if now_secs - last < HYSTERESIS_SECS {
                         self.repairs += 1;
                         self.push_event(now_secs, "repair", "hysteresis: recent rollback");
                         return Directive::Repair;
@@ -465,13 +424,13 @@ impl HealthMonitor {
                 }
                 // Sliding-window rollback budget.
                 while let Some(&t) = self.rollback_window.front() {
-                    if now_secs - t > self.cfg.budget_window_secs {
+                    if now_secs - t > BUDGET_WINDOW_SECS {
                         self.rollback_window.pop_front();
                     } else {
                         break;
                     }
                 }
-                if self.rollback_window.len() as u32 >= self.cfg.rollback_budget {
+                if self.rollback_window.len() >= ROLLBACK_BUDGET {
                     self.transition(
                         now_secs,
                         HealthState::Quarantined,
@@ -490,7 +449,7 @@ impl HealthMonitor {
         self.rollbacks += 1;
         self.rollback_window.push_back(now_secs);
         self.last_rollback_at = Some(now_secs);
-        self.recover_left = self.cfg.recovering_ticks.max(1);
+        self.recover_left = RECOVERING_TICKS;
         self.slo_streak = 0;
         self.watchdog_streak = 0;
         let detail = match restored_gen {
@@ -539,7 +498,7 @@ mod tests {
     use super::*;
 
     fn monitor() -> HealthMonitor {
-        HealthMonitor::new(HealthConfig::default())
+        HealthMonitor::new(HealthConfig::self_heal())
     }
 
     #[test]
@@ -590,41 +549,48 @@ mod tests {
 
     #[test]
     fn budget_exhaustion_quarantines_and_contains() {
-        let cfg = HealthConfig::default()
-            .with_budget(2, 1000.0)
-            .with_hysteresis(0.0);
-        let mut m = HealthMonitor::new(cfg);
+        let mut m = monitor();
         let inc = Incident::AuditViolation("popularity drift".into());
-        assert_eq!(m.on_incident(10.0, &inc), Directive::Rollback);
-        m.on_rollback_complete(10.0, Some(1));
-        assert_eq!(m.on_incident(50.0, &inc), Directive::Rollback);
-        m.on_rollback_complete(50.0, Some(1));
-        // Third incident inside the window: budget (2) exhausted.
-        assert_eq!(m.on_incident(90.0, &inc), Directive::Quarantine);
+        // One incident past the hysteresis of each rollback, all inside
+        // one budget window: the first ROLLBACK_BUDGET roll back.
+        let gap = HYSTERESIS_SECS + 25.0;
+        let mut now = 10.0;
+        for _ in 0..ROLLBACK_BUDGET {
+            assert_eq!(m.on_incident(now, &inc), Directive::Rollback);
+            m.on_rollback_complete(now, Some(1));
+            now += gap;
+        }
+        assert!(now - 10.0 < BUDGET_WINDOW_SECS);
+        // The next incident inside the window: budget exhausted.
+        assert_eq!(m.on_incident(now, &inc), Directive::Quarantine);
         assert!(m.is_quarantined());
         // Quarantine is terminal: further incidents only repair, and
         // clean ticks never promote back to Healthy.
-        assert_eq!(m.on_incident(95.0, &inc), Directive::Repair);
+        assert_eq!(m.on_incident(now + gap, &inc), Directive::Repair);
         for i in 0..100 {
-            m.observe_tick(100.0 + i as f64, false, 1.0);
+            m.observe_tick(now + gap + i as f64, false, 1.0);
         }
         assert!(m.is_quarantined());
         let s = m.summary(true);
         assert!(s.quarantined);
-        assert_eq!(s.rollbacks, 2);
+        assert_eq!(s.rollbacks as usize, ROLLBACK_BUDGET);
     }
 
     #[test]
     fn budget_window_slides() {
-        let cfg = HealthConfig::default()
-            .with_budget(1, 100.0)
-            .with_hysteresis(0.0);
-        let mut m = HealthMonitor::new(cfg);
+        let mut m = monitor();
         let inc = Incident::Poison("p".into());
-        assert_eq!(m.on_incident(0.0, &inc), Directive::Rollback);
-        m.on_rollback_complete(0.0, None);
-        // 200 s later the old rollback has left the window.
-        assert_eq!(m.on_incident(200.0, &inc), Directive::Rollback);
+        let gap = HYSTERESIS_SECS + 5.0;
+        for i in 0..ROLLBACK_BUDGET {
+            let now = i as f64 * gap;
+            assert_eq!(m.on_incident(now, &inc), Directive::Rollback);
+            m.on_rollback_complete(now, None);
+        }
+        // Just past one window after the first rollback, only that one
+        // has left the window: the budget has room for one more.
+        let later = BUDGET_WINDOW_SECS + 1.0;
+        assert!(later - gap <= BUDGET_WINDOW_SECS);
+        assert_eq!(m.on_incident(later, &inc), Directive::Rollback);
     }
 
     #[test]

@@ -53,7 +53,7 @@ pub mod supervisor;
 pub mod tracker;
 
 pub use config::SimConfig;
-pub use hardening::{Hardening, HardeningCfg, LeakCfg, PressureCfg, ThrashCfg};
+pub use hardening::Hardening;
 pub use health::{HealthConfig, HealthMonitor, HealthState, HealthSummary, RecoveryMode};
 pub use policy::hotset::HotsetPolicy;
 pub use policy::memtis::MemtisPolicy;
@@ -63,4 +63,4 @@ pub use policy::tpp::TppPolicy;
 pub use policy::Policy;
 pub use runner::{CheckpointCfg, Experiment, MaxLoadSearch};
 pub use stats::RunResult;
-pub use supervisor::{DegradationState, Supervisor, SupervisorConfig};
+pub use supervisor::{DegradationState, Supervisor};

@@ -20,47 +20,23 @@ use crate::ppe::placement;
 use crate::ppe::HOTNESS_HYSTERESIS;
 use crate::tracker::HotnessTracker;
 
-/// Configuration of the hot-set partitioning baseline.
-#[derive(Debug, Clone)]
-pub struct HotsetConfig {
-    /// A page is "hot" if its (aged) access count is at least this.
-    pub hot_threshold: u64,
-    /// Per-tick placement appetite per workload, in page pairs.
-    pub pairs_per_tick: u64,
-}
-
-impl Default for HotsetConfig {
-    fn default() -> Self {
-        Self {
-            hot_threshold: 8,
-            pairs_per_tick: 256,
-        }
-    }
-}
+/// A page is "hot" if its (aged) access count is at least this.
+const HOT_THRESHOLD: u64 = 8;
+/// Per-tick placement appetite per workload, in page pairs.
+const PAIRS_PER_TICK: u64 = 256;
 
 /// The vTMM-like hot-set-proportional policy.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct HotsetPolicy {
-    cfg: HotsetConfig,
     tracker: Option<HotnessTracker>,
     targets: Vec<u64>,
     page_size: u64,
 }
 
 impl HotsetPolicy {
-    /// Creates the policy with default parameters.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self::with_config(HotsetConfig::default())
-    }
-
-    /// Creates the policy with explicit parameters.
-    pub fn with_config(cfg: HotsetConfig) -> Self {
-        Self {
-            cfg,
-            tracker: None,
-            targets: Vec::new(),
-            page_size: 0,
-        }
+        Self::default()
     }
 
     /// Hot-set size (pages over the threshold) of workload `w`.
@@ -69,7 +45,7 @@ impl HotsetPolicy {
         tracker
             .histogram(w)
             .iter()
-            .filter(|&(_, c)| c >= self.cfg.hot_threshold)
+            .filter(|&(_, c)| c >= HOT_THRESHOLD)
             .count() as u64
     }
 
@@ -95,12 +71,6 @@ impl HotsetPolicy {
                 })
                 .collect()
         };
-    }
-}
-
-impl Default for HotsetPolicy {
-    fn default() -> Self {
-        Self::new()
     }
 }
 
@@ -154,7 +124,7 @@ impl Policy for HotsetPolicy {
                 sim.migration,
                 tracker,
                 w,
-                self.cfg.pairs_per_tick,
+                PAIRS_PER_TICK,
                 HOTNESS_HYSTERESIS,
             );
         }

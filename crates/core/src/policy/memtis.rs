@@ -20,12 +20,13 @@ use crate::policy::{Policy, SimState, WorkloadObs};
 use crate::ppe::placement;
 use crate::tracker::HotnessTracker;
 
+/// Migration appetite per tick, in page pairs.
+const PAIRS_PER_TICK: u64 = 1024;
+
 /// The MEMTIS-like global hotness policy.
 #[derive(Debug)]
 pub struct MemtisPolicy {
     tracker: Option<HotnessTracker>,
-    /// Migration appetite per tick, in page pairs.
-    pairs_per_tick: u64,
     /// Candidate buffers reused across ticks.
     scratch: placement::PlacementScratch,
     /// Workload-id buffer reused across ticks.
@@ -35,21 +36,14 @@ pub struct MemtisPolicy {
 }
 
 impl MemtisPolicy {
-    /// Creates the policy with the default per-tick migration appetite.
+    /// Creates the policy.
     pub fn new() -> Self {
         Self {
             tracker: None,
-            pairs_per_tick: 1024,
             scratch: placement::PlacementScratch::default(),
             all_ids: Vec::new(),
             obs: mtat_obs::Obs::disabled(),
         }
-    }
-
-    /// Overrides the per-tick migration appetite (page pairs).
-    pub fn with_pairs_per_tick(mut self, pairs: u64) -> Self {
-        self.pairs_per_tick = pairs;
-        self
     }
 }
 
@@ -92,7 +86,7 @@ impl Policy for MemtisPolicy {
             tracker,
             &self.all_ids,
             pool_cap,
-            self.pairs_per_tick,
+            PAIRS_PER_TICK,
             crate::ppe::HOTNESS_HYSTERESIS,
         );
     }

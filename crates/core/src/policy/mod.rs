@@ -226,7 +226,9 @@ pub trait Policy {
 
     /// The health monitor has exhausted its rollback budget: park the
     /// policy on its most trustworthy fallback permanently (e.g. latch
-    /// a supervisor at its Static rung). Default: no-op.
+    /// a supervisor at its Static rung). The runner calls it again after
+    /// every controller restore while quarantined, because a restore may
+    /// reload state captured before the quarantine. Default: no-op.
     fn enter_quarantine(&mut self, _now_secs: f64) {}
 
     /// A rollback just restored this policy from a known-good

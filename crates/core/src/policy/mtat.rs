@@ -31,7 +31,7 @@ use mtat_workloads::be::BeSpec;
 use mtat_workloads::lc::LcSpec;
 
 use crate::config::SimConfig;
-use crate::hardening::{Hardening, HardeningCfg};
+use crate::hardening::Hardening;
 use crate::policy::{Policy, SimState, WorkloadObs};
 use crate::ppe::PartitionPolicyEnforcer;
 use crate::ppm::annealing::AnnealingConfig;
@@ -40,7 +40,7 @@ use crate::ppm::controller::{ControllerConfig, ProportionalController};
 use crate::ppm::lc::{LcObservation, LcPartitioner, LcPartitionerConfig};
 use crate::ppm::profiler::profile_all;
 use crate::ppm::{LcSizer, PartitionPlan, PartitionPolicyMaker};
-use crate::supervisor::{DegradationState, Supervisor, SupervisorConfig};
+use crate::supervisor::{DegradationState, Supervisor};
 
 /// Which MTAT variant to run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,11 +62,6 @@ pub struct MtatConfig {
     pub online_learning: bool,
     /// Pretraining interactions on the analytic environment.
     pub pretrain_steps: usize,
-    /// SLO-guard growth (fraction of the Eq. 1 bound) applied on a
-    /// violated interval; `None` disables the guard.
-    pub slo_guard_step: Option<f64>,
-    /// Per-tick refinement appetite per workload (page pairs).
-    pub refine_pairs: u64,
     /// RNG seed for pretraining and annealing.
     pub seed: u64,
     /// §7 extension: pause placement churn when FMem bandwidth
@@ -75,14 +70,21 @@ pub struct MtatConfig {
     /// Run the policy under a graceful-degradation [`Supervisor`] that
     /// demotes the RL sizer to the proportional controller (and, as a
     /// last resort, a static LC-priority split) on divergence, stale
-    /// telemetry, dead sensors, or sustained SLO violation (`None`
-    /// disables — the paper's unsupervised behavior).
-    pub supervisor: Option<SupervisorConfig>,
+    /// telemetry, dead sensors, or sustained SLO violation (`false` is
+    /// the paper's unsupervised behavior).
+    pub supervised: bool,
     /// Adversarial-dynamics guards ([`crate::hardening`]): thrash
     /// quarantine, working-set-pressure throttle, leak renormalization
-    /// (`None` disables — the naive ablation arm).
-    pub hardening: Option<HardeningCfg>,
+    /// (`false` is the naive ablation arm). Implies `supervised`: the
+    /// pressure guard escalates through the supervisor's ladder.
+    pub hardened: bool,
 }
+
+/// SLO-guard growth (fraction of the Eq. 1 bound) applied on a violated
+/// interval (DESIGN §4b).
+const SLO_GUARD_STEP: f64 = 1.0;
+/// PP-E's per-tick refinement appetite per workload (page pairs).
+const REFINE_PAIRS: u64 = 256;
 
 impl MtatConfig {
     /// MTAT (Full) with paper defaults.
@@ -92,12 +94,10 @@ impl MtatConfig {
             use_rl: true,
             online_learning: true,
             pretrain_steps: 12_000,
-            slo_guard_step: Some(1.0),
-            refine_pairs: 256,
             seed: 0x517A7,
             bandwidth_freeze_util: None,
-            supervisor: None,
-            hardening: None,
+            supervised: false,
+            hardened: false,
         }
     }
 
@@ -122,28 +122,17 @@ impl MtatConfig {
         self
     }
 
-    /// Runs the policy under a graceful-degradation supervisor with the
-    /// given thresholds.
-    pub fn with_supervisor(mut self, cfg: SupervisorConfig) -> Self {
-        self.supervisor = Some(cfg);
+    /// Runs the policy under a graceful-degradation supervisor.
+    pub fn supervised(mut self) -> Self {
+        self.supervised = true;
         self
     }
 
-    /// Runs the policy under a supervisor with default thresholds.
-    pub fn supervised(self) -> Self {
-        self.with_supervisor(SupervisorConfig::default())
-    }
-
     /// Arms the adversarial-dynamics guards (thrash quarantine,
-    /// pressure throttle, leak renormalization) with default
-    /// thresholds. Hardening implies supervision: the pressure guard
-    /// escalates through the supervisor's ladder, so one is installed
-    /// if not already configured.
+    /// pressure throttle, leak renormalization), and with them the
+    /// supervisor.
     pub fn hardened(mut self) -> Self {
-        self.hardening = Some(HardeningCfg::hardened());
-        if self.supervisor.is_none() {
-            self.supervisor = Some(SupervisorConfig::default());
-        }
+        self.hardened = true;
         self
     }
 }
@@ -306,9 +295,10 @@ impl MtatPolicy {
             MtatVariant::LcOnly => None,
         };
 
+        let supervised = cfg.supervised || cfg.hardened;
         let mut ppm =
-            PartitionPolicyMaker::new(sizer, be, fmem_total, max_step_bytes, cfg.slo_guard_step);
-        if cfg.supervisor.is_some() {
+            PartitionPolicyMaker::new(sizer, be, fmem_total, max_step_bytes, Some(SLO_GUARD_STEP));
+        if supervised {
             // Degradation ladder: proportional latency-headroom control,
             // then the static LC-priority split (all the FMem the LC
             // resident set can use).
@@ -327,16 +317,16 @@ impl MtatPolicy {
             (MtatVariant::LcOnly, false) => "mtat_lc_only_heuristic",
         }
         .to_string();
-        if cfg.hardening.is_some() {
+        if cfg.hardened {
             // Hardened implies supervised; one suffix names the arm.
             name.push_str("_hardened");
-        } else if cfg.supervisor.is_some() {
+        } else if supervised {
             name.push_str("_supervised");
         }
         let ref_access_rate =
             lc_spec.max_load(lc_spec.full_fmem_hit_ratio(fmem_total)) * lc_spec.accesses_per_req;
-        let supervisor = cfg.supervisor.clone().map(Supervisor::new);
-        let hardening = cfg.hardening.clone().map(Hardening::new);
+        let supervisor = supervised.then(Supervisor::default);
+        let hardening = cfg.hardened.then(Hardening::default);
         Self {
             cfg,
             name,
@@ -591,10 +581,10 @@ impl MtatPolicy {
         };
         self.ppm.cold_restart(sizer, self.cfg.seed ^ 0xBE);
         if let Some(sup) = &mut self.supervisor {
-            *sup = Supervisor::new(self.cfg.supervisor.clone().unwrap_or_default());
+            *sup = Supervisor::default();
         }
         if let Some(h) = &mut self.hardening {
-            h.reset();
+            *h = Hardening::default();
         }
         self.latest_plan = None;
         self.reset_accumulators();
@@ -626,8 +616,7 @@ impl Policy for MtatPolicy {
             .expect("MTAT needs an LC workload");
         self.lc_id = Some(lc.id);
         let p_max_pairs = 512;
-        let mut ppe =
-            PartitionPolicyEnforcer::new(mem, lc.id.index(), p_max_pairs, self.cfg.refine_pairs);
+        let mut ppe = PartitionPolicyEnforcer::new(mem, lc.id.index(), p_max_pairs, REFINE_PAIRS);
         // The runner attaches the handle before init; forward it to the
         // freshly built enforcer.
         ppe.set_obs(self.obs.clone());

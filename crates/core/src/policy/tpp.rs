@@ -23,61 +23,30 @@ use mtat_tiermem::page::{PageId, Tier, WorkloadId};
 
 use crate::policy::{Policy, SimState, WorkloadObs};
 
-/// Configuration of the TPP-like policy.
-#[derive(Debug, Clone)]
-pub struct TppConfig {
-    /// Fraction of SMem accesses that take a NUMA-hint minor fault.
-    pub hint_fault_prob: f64,
-    /// Latency of one hint fault (seconds).
-    pub fault_cost_secs: f64,
-    /// Maximum promotions per tick (pages).
-    pub promotions_per_tick: u64,
-    /// Keep this fraction of FMem frames free (demotion watermark).
-    pub free_watermark: f64,
-}
-
-impl Default for TppConfig {
-    fn default() -> Self {
-        Self {
-            // Calibrated so that an LC workload running entirely from
-            // SMem under TPP sustains ~90 % of what it would without the
-            // fault overhead — landing TPP below SMEM_ALL as in Fig. 8.
-            hint_fault_prob: 0.05,
-            fault_cost_secs: 1.5e-6,
-            promotions_per_tick: 512,
-            free_watermark: 0.01,
-        }
-    }
-}
+/// Fraction of SMem accesses that take a NUMA-hint minor fault. With
+/// [`FAULT_COST_SECS`], calibrated so that an LC workload running
+/// entirely from SMem under TPP sustains ~90 % of what it would without
+/// the fault overhead — landing TPP below SMEM_ALL as in Fig. 8.
+const HINT_FAULT_PROB: f64 = 0.05;
+/// Latency of one hint fault (seconds).
+const FAULT_COST_SECS: f64 = 1.5e-6;
+/// Maximum promotions per tick (pages).
+const PROMOTIONS_PER_TICK: usize = 512;
+/// Keep this fraction of FMem frames free (demotion watermark).
+const FREE_WATERMARK: f64 = 0.01;
 
 /// The TPP-like fault-driven policy.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TppPolicy {
-    cfg: TppConfig,
     /// Per-page tick of last observed access (0 = never).
     last_access: Vec<u64>,
     tick_index: u64,
 }
 
 impl TppPolicy {
-    /// Creates the policy with default calibration.
+    /// Creates the policy.
     pub fn new() -> Self {
-        Self::with_config(TppConfig::default())
-    }
-
-    /// Creates the policy with explicit parameters.
-    pub fn with_config(cfg: TppConfig) -> Self {
-        Self {
-            cfg,
-            last_access: Vec::new(),
-            tick_index: 0,
-        }
-    }
-}
-
-impl Default for TppPolicy {
-    fn default() -> Self {
-        Self::new()
+        Self::default()
     }
 }
 
@@ -92,7 +61,7 @@ impl Policy for TppPolicy {
     }
 
     fn smem_access_penalty(&self, _w: WorkloadId) -> f64 {
-        self.cfg.hint_fault_prob * self.cfg.fault_cost_secs
+        HINT_FAULT_PROB * FAULT_COST_SECS
     }
 
     fn on_tick(&mut self, sim: &mut SimState<'_>) {
@@ -117,7 +86,7 @@ impl Policy for TppPolicy {
             }
         }
         candidates.sort_unstable_by_key(|&(est, _)| std::cmp::Reverse(est));
-        candidates.truncate(self.cfg.promotions_per_tick as usize);
+        candidates.truncate(PROMOTIONS_PER_TICK);
 
         if candidates.is_empty() {
             return;
@@ -126,7 +95,7 @@ impl Policy for TppPolicy {
         // Demote least-recently-used FMem pages to restore the free-frame
         // watermark plus room for this tick's promotions.
         let fmem_pages = sim.mem.spec().fmem_pages();
-        let watermark = (fmem_pages as f64 * self.cfg.free_watermark).ceil() as u64;
+        let watermark = (fmem_pages as f64 * FREE_WATERMARK).ceil() as u64;
         let free = sim.mem.free_pages(Tier::FMem);
         let wanted = candidates.len() as u64 + watermark;
         if free < wanted {
@@ -267,8 +236,9 @@ mod tests {
     #[test]
     fn thrash_between_competing_workloads() {
         // Two workloads alternately touching their pages keep stealing
-        // the two FMem frames from each other — TPP's pathology.
-        let spec = MemorySpec::new(2 * MIB, 16 * MIB, MIB).unwrap();
+        // the two usable FMem frames from each other — TPP's pathology.
+        // The watermark keeps the third frame free.
+        let spec = MemorySpec::new(3 * MIB, 16 * MIB, MIB).unwrap();
         let mut mem = TieredMemory::new(spec);
         let a = mem
             .register_workload(2 * MIB, InitialPlacement::AllSmem)
@@ -277,10 +247,7 @@ mod tests {
             .register_workload(2 * MIB, InitialPlacement::AllSmem)
             .unwrap();
         let mut engine = MigrationEngine::new(1e9, MIB, 10.0).unwrap();
-        let mut p = TppPolicy::with_config(TppConfig {
-            free_watermark: 0.0,
-            ..TppConfig::default()
-        });
+        let mut p = TppPolicy::new();
         p.init(&mem, &[obs(&mem, a, vec![0; 2]), obs(&mem, b, vec![0; 2])]);
         let mut moves = 0;
         for t in 0..6 {

@@ -149,11 +149,6 @@ impl PartitionPolicyEnforcer {
         self.throttle_shift = shift.min(16);
     }
 
-    /// The current migration-throttle shift.
-    pub fn migration_throttle(&self) -> u32 {
-        self.throttle_shift
-    }
-
     /// The access histograms (shared with diagnostics/tests).
     pub fn tracker(&self) -> &HotnessTracker {
         &self.tracker

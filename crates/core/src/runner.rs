@@ -125,16 +125,13 @@ pub struct Experiment {
 /// just been reset and the new plan handed to PP-E, so restoring such a
 /// checkpoint resumes *bit-identically* with the uninterrupted run.
 /// Checkpoints are sealed in the versioned, checksummed envelope of
-/// [`mtat_snapshot`]; up to `retain` generations are kept, and a restart
-/// falls back to older generations when newer ones are corrupt.
+/// [`mtat_snapshot`]; the newest three generations are kept, and a
+/// restart falls back to older generations when newer ones are corrupt.
 #[derive(Debug, Clone)]
 pub struct CheckpointCfg {
     /// Capture a checkpoint every this many partitioning intervals
     /// (values below 1 are treated as 1).
     pub every_intervals: u64,
-    /// Number of checkpoint generations to keep (values below 1 are
-    /// treated as 1).
-    pub retain: usize,
     /// Directory for on-disk checkpoints (created if missing). `None`
     /// keeps the sealed blobs in memory — same envelope, same fallback
     /// semantics, no filesystem traffic.
@@ -148,18 +145,16 @@ pub struct CheckpointCfg {
 }
 
 impl CheckpointCfg {
-    /// In-memory checkpointing: every interval, three generations.
+    /// In-memory checkpointing: every interval.
     pub fn in_memory() -> Self {
         Self {
             every_intervals: 1,
-            retain: 3,
             dir: None,
             restart_probe_at: None,
         }
     }
 
-    /// On-disk checkpointing under `dir`: every interval, three
-    /// generations.
+    /// On-disk checkpointing under `dir`: every interval.
     pub fn on_disk(dir: impl Into<PathBuf>) -> Self {
         Self {
             dir: Some(dir.into()),
@@ -170,12 +165,6 @@ impl CheckpointCfg {
     /// Sets the capture cadence in partitioning intervals.
     pub fn with_every(mut self, intervals: u64) -> Self {
         self.every_intervals = intervals;
-        self
-    }
-
-    /// Sets the retained generation count.
-    pub fn with_retain(mut self, retain: usize) -> Self {
-        self.retain = retain;
         self
     }
 
@@ -229,12 +218,6 @@ impl Experiment {
     /// Installs a fault-injection schedule (see [`mtat_tiermem::faults`]).
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
-        self
-    }
-
-    /// Overrides the reference max load.
-    pub fn with_lc_max_ref(mut self, rps: f64) -> Self {
-        self.lc_max_ref = rps;
         self
     }
 
@@ -450,7 +433,8 @@ impl Experiment {
             let dead = health.as_ref().is_some_and(|h| h.crash_stopped);
             let tf = {
                 let _stage = tele.span(now, "faults");
-                faults.begin_tick(&t, &mut sampler, policy, &mut mem, ckpt.as_ref(), dead)?
+                let h = health.as_ref();
+                faults.begin_tick(&t, &mut sampler, policy, &mut mem, ckpt.as_ref(), h)?
             };
             let (offered, mut record) = {
                 let _stage = tele.span(now, "physics");
@@ -715,16 +699,24 @@ fn checkpoint_err(e: SnapError) -> TierMemError {
 
 /// Restarts PP-M from the `saved` checkpoint payload, or cold without
 /// one — the one restore path of a crash-restart edge, a health rollback
-/// and the restart probe. A daemon that a `PpmCrash` window still holds
-/// down (`down`) is restored but stays down until the window ends.
+/// and the restart probe. Quarantine is terminal across every restore: a
+/// controller the health monitor has `quarantined` re-enters quarantine
+/// at `now`, whatever the payload held. A daemon that a `PpmCrash`
+/// window still holds down (`down`) is restored but stays down until the
+/// window ends.
 fn restore_controller(
     policy: &mut dyn Policy,
     mem: &TieredMemory,
     saved: Option<&[u8]>,
     down: bool,
+    quarantined: bool,
+    now: f64,
 ) {
     policy.on_controller_crash();
     policy.on_controller_restart(mem, saved);
+    if quarantined {
+        policy.enter_quarantine(now);
+    }
     if down {
         policy.on_controller_crash();
     }
@@ -883,12 +875,13 @@ impl Faults {
 
     /// Computes and applies this tick's effects: the sampler's blackout
     /// and dropout, PP-M crash and restart edges, SAC poisoning and
-    /// accumulator drift; a daemon the health monitor crash-stopped
-    /// (`dead`) sees neither edges nor poison. A `PpmCrash` window models
-    /// the user-space daemon dying while the in-kernel PP-E keeps
-    /// enforcing its last plan; on recovery a fresh daemon reloads the
-    /// newest checkpoint generation that verifies, or restarts cold, and
-    /// after a rollback inside the window re-enters as after any rollback.
+    /// accumulator drift; a daemon the health monitor crash-stopped sees
+    /// neither edges nor poison. A `PpmCrash` window models the user-space
+    /// daemon dying while the in-kernel PP-E keeps enforcing its last
+    /// plan; on recovery a fresh daemon reloads the newest checkpoint
+    /// generation that verifies, or restarts cold, and after a rollback
+    /// inside the window re-enters as after any rollback, unless the
+    /// monitor has quarantined it meanwhile.
     fn begin_tick(
         &mut self,
         t: &Tick,
@@ -896,9 +889,11 @@ impl Faults {
         policy: &mut dyn Policy,
         mem: &mut TieredMemory,
         ckpt: Option<&Checkpoints>,
-        dead: bool,
+        health: Option<&Health>,
     ) -> Result<TickFaults, TierMemError> {
         let tele = t.tele;
+        let dead = health.is_some_and(|h| h.crash_stopped);
+        let quarantined = health.is_some_and(|h| h.monitor.is_quarantined());
         let tf = self.injector.begin_tick(t.now);
         sampler.set_fault_state(tf.sampler_blackout, tf.sampler_keep);
         if !dead && tf.ppm_down != self.ppm_was_down {
@@ -938,8 +933,8 @@ impl Faults {
                     tele.dump_flight_recorder("ppm restart");
                 }
                 let payload = latest.as_ref().map(|(_, p)| p.as_slice());
-                restore_controller(policy, mem, payload, false);
-                if std::mem::take(&mut self.rolled_back_while_down) {
+                restore_controller(policy, mem, payload, false, quarantined, t.now);
+                if std::mem::take(&mut self.rolled_back_while_down) && !quarantined {
                     policy.after_rollback(t.now);
                 }
             }
@@ -1253,12 +1248,15 @@ struct Checkpoints {
     last_good: Option<u64>,
 }
 
+/// Checkpoint generations kept; older ones are the fallback when newer
+/// ones are corrupt.
+const RETAIN_GENERATIONS: usize = 3;
+
 impl Checkpoints {
     fn new(cfg: &CheckpointCfg) -> Result<Self, TierMemError> {
-        let retain = cfg.retain.max(1);
         let store = match &cfg.dir {
-            Some(dir) => CheckpointStore::open(dir.clone(), retain),
-            None => CheckpointStore::in_memory(retain),
+            Some(dir) => CheckpointStore::open(dir.clone(), RETAIN_GENERATIONS),
+            None => CheckpointStore::in_memory(RETAIN_GENERATIONS),
         };
         Ok(Self {
             store: store.map_err(checkpoint_err)?,
@@ -1302,7 +1300,8 @@ impl Checkpoints {
         if self.probe_at.is_some_and(|at| t.now >= at) {
             self.probe_at = None;
             if let Some(payload) = policy.checkpoint() {
-                restore_controller(policy, mem, Some(&payload), false);
+                let quarantined = monitor.is_some_and(HealthMonitor::is_quarantined);
+                restore_controller(policy, mem, Some(&payload), false, quarantined, t.now);
             }
         }
         Ok(())
@@ -1524,7 +1523,7 @@ impl Health {
                         None => None,
                     };
                     let payload = target.as_ref().map(|(_, p)| p.as_slice());
-                    restore_controller(policy, mem, payload, down);
+                    restore_controller(policy, mem, payload, down, mon.is_quarantined(), now);
                     policy.after_rollback(now);
                     rolled_back = true;
                     let generation = target.map(|(g, _)| g);

@@ -22,20 +22,20 @@
 //!
 //! Demotion triggers (any one suffices):
 //! * a non-finite raw SAC action (diverged network),
-//! * policy-visible observations older than `stale_limit_ticks`,
+//! * policy-visible observations older than `STALE_LIMIT_TICKS` (3),
 //! * a dead sensor: zero sampled memory-access demand while the
 //!   application visibly serves traffic (the PEBS-blackout signature),
-//! * `demote_after_violations` consecutive SLO-violating intervals.
+//! * `DEMOTE_AFTER_VIOLATIONS` (3) consecutive SLO-violating intervals.
 //!
 //! A demoted supervisor escalates Proportional → Static when either the
-//! violations continue (`static_after_violations`) or the hard fault
-//! itself persists (`static_after_hard_faults`): prolonged blind
+//! violations continue (`STATIC_AFTER_VIOLATIONS`, 4) or the hard fault
+//! itself persists (`STATIC_AFTER_HARD_FAULTS`, 2): prolonged blind
 //! operation at whatever thin partition the sizer last chose is exactly
 //! the state in which a demand surge is catastrophic, so a sustained
 //! telemetry outage buys the LC workload its full resident set until
 //! the sensors return.
 //!
-//! Re-promotion is conservative: only after `healthy_intervals`
+//! Re-promotion is conservative: only after `HEALTHY_INTERVALS` (3)
 //! consecutive clean intervals — no violation, fresh observations, live
 //! sensors — does the supervisor hand control back to the RL agent.
 //! While a fault persists the intervals are not clean, so the ladder
@@ -44,9 +44,10 @@
 use serde::{Deserialize, Serialize};
 
 /// Which partitioning mechanism is currently in control.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DegradationState {
     /// Nominal: the SAC RL agent sizes the LC partition.
+    #[default]
     Rl,
     /// Degraded: the proportional latency-headroom controller.
     Proportional,
@@ -65,39 +66,24 @@ impl DegradationState {
     }
 }
 
-/// Supervisor thresholds.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SupervisorConfig {
-    /// Demote after this many consecutive SLO-violating intervals.
-    pub demote_after_violations: u32,
-    /// Escalate Proportional → Static after this many consecutive
-    /// SLO-violating intervals *while already demoted*.
-    pub static_after_violations: u32,
-    /// Escalate Proportional → Static after this many consecutive
-    /// hard-faulted intervals (stale observations, dead sensor,
-    /// non-finite actions) *while already demoted*. A persistent
-    /// telemetry fault means the control loop is flying blind; holding a
-    /// thin partition in that state is exactly when a demand surge is
-    /// catastrophic, so the supervisor provisions conservatively.
-    pub static_after_hard_faults: u32,
-    /// Hand control back to the RL agent after this many consecutive
-    /// healthy intervals.
-    pub healthy_intervals: u32,
-    /// Observations older than this many ticks count as stale.
-    pub stale_limit_ticks: u64,
-}
-
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        Self {
-            demote_after_violations: 3,
-            static_after_violations: 4,
-            static_after_hard_faults: 2,
-            healthy_intervals: 3,
-            stale_limit_ticks: 3,
-        }
-    }
-}
+/// Demote RL → Proportional after this many consecutive SLO-violating
+/// intervals.
+const DEMOTE_AFTER_VIOLATIONS: u32 = 3;
+/// Escalate Proportional → Static after this many consecutive
+/// SLO-violating intervals *while already demoted*.
+const STATIC_AFTER_VIOLATIONS: u32 = 4;
+/// Escalate Proportional → Static after this many consecutive
+/// hard-faulted intervals (stale observations, dead sensor, non-finite
+/// actions) *while already demoted*. A persistent telemetry fault means
+/// the control loop is flying blind; holding a thin partition in that
+/// state is exactly when a demand surge is catastrophic, so the
+/// supervisor provisions conservatively.
+const STATIC_AFTER_HARD_FAULTS: u32 = 2;
+/// Hand control back to the RL agent after this many consecutive
+/// healthy intervals.
+const HEALTHY_INTERVALS: u32 = 3;
+/// Observations older than this many ticks count as stale.
+const STALE_LIMIT_TICKS: u64 = 3;
 
 /// A recorded mode change.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -111,10 +97,10 @@ pub struct Transition {
 /// The degradation state machine. Owned by the MTAT policy; fed by it
 /// once per tick ([`Supervisor::note_tick`], [`Supervisor::note_nonfinite`])
 /// and consulted at every partitioning interval
-/// ([`Supervisor::on_interval`]).
-#[derive(Debug, Clone)]
+/// ([`Supervisor::on_interval`]). The default starts in the nominal RL
+/// state.
+#[derive(Debug, Clone, Default)]
 pub struct Supervisor {
-    cfg: SupervisorConfig,
     state: DegradationState,
     /// Consecutive SLO-violating intervals (any state).
     slo_streak: u32,
@@ -133,21 +119,6 @@ pub struct Supervisor {
 }
 
 impl Supervisor {
-    /// A supervisor starting in the nominal RL state.
-    pub fn new(cfg: SupervisorConfig) -> Self {
-        Self {
-            cfg,
-            state: DegradationState::Rl,
-            slo_streak: 0,
-            hard_streak: 0,
-            healthy_streak: 0,
-            stale_seen: false,
-            nonfinite_seen: false,
-            latched: false,
-            transitions: Vec::new(),
-        }
-    }
-
     /// The mechanism currently in control.
     pub fn state(&self) -> DegradationState {
         self.state
@@ -160,7 +131,7 @@ impl Supervisor {
 
     /// Per-tick telemetry-freshness check.
     pub fn note_tick(&mut self, obs_age_ticks: u64) {
-        if obs_age_ticks > self.cfg.stale_limit_ticks {
+        if obs_age_ticks > STALE_LIMIT_TICKS {
             self.stale_seen = true;
         }
     }
@@ -253,25 +224,25 @@ impl Supervisor {
 
         let next = match self.state {
             DegradationState::Rl => {
-                if hard_fault || self.slo_streak >= self.cfg.demote_after_violations {
+                if hard_fault || self.slo_streak >= DEMOTE_AFTER_VIOLATIONS {
                     DegradationState::Proportional
                 } else {
                     DegradationState::Rl
                 }
             }
             DegradationState::Proportional => {
-                if self.slo_streak >= self.cfg.static_after_violations
-                    || self.hard_streak >= self.cfg.static_after_hard_faults
+                if self.slo_streak >= STATIC_AFTER_VIOLATIONS
+                    || self.hard_streak >= STATIC_AFTER_HARD_FAULTS
                 {
                     DegradationState::Static
-                } else if self.healthy_streak >= self.cfg.healthy_intervals {
+                } else if self.healthy_streak >= HEALTHY_INTERVALS {
                     DegradationState::Rl
                 } else {
                     DegradationState::Proportional
                 }
             }
             DegradationState::Static => {
-                if self.healthy_streak >= self.cfg.healthy_intervals {
+                if self.healthy_streak >= HEALTHY_INTERVALS {
                     DegradationState::Rl
                 } else {
                     DegradationState::Static
@@ -311,26 +282,6 @@ impl mtat_snapshot::Snap for DegradationState {
     }
 }
 
-impl mtat_snapshot::Snap for SupervisorConfig {
-    fn snap(&self, w: &mut mtat_snapshot::SnapWriter) {
-        w.put_u32(self.demote_after_violations);
-        w.put_u32(self.static_after_violations);
-        w.put_u32(self.static_after_hard_faults);
-        w.put_u32(self.healthy_intervals);
-        w.put_u64(self.stale_limit_ticks);
-    }
-
-    fn unsnap(r: &mut mtat_snapshot::SnapReader<'_>) -> Result<Self, mtat_snapshot::SnapError> {
-        Ok(Self {
-            demote_after_violations: r.get_u32()?,
-            static_after_violations: r.get_u32()?,
-            static_after_hard_faults: r.get_u32()?,
-            healthy_intervals: r.get_u32()?,
-            stale_limit_ticks: r.get_u64()?,
-        })
-    }
-}
-
 impl mtat_snapshot::Snap for Transition {
     fn snap(&self, w: &mut mtat_snapshot::SnapWriter) {
         w.put_f64(self.at_secs);
@@ -347,7 +298,14 @@ impl mtat_snapshot::Snap for Transition {
 
 impl mtat_snapshot::Snap for Supervisor {
     fn snap(&self, w: &mut mtat_snapshot::SnapWriter) {
-        self.cfg.snap(w);
+        // The record opens with the five thresholds, which were once
+        // settable: they are still written, so the record stays
+        // byte-identical, and skipped on decode.
+        w.put_u32(DEMOTE_AFTER_VIOLATIONS);
+        w.put_u32(STATIC_AFTER_VIOLATIONS);
+        w.put_u32(STATIC_AFTER_HARD_FAULTS);
+        w.put_u32(HEALTHY_INTERVALS);
+        w.put_u64(STALE_LIMIT_TICKS);
         self.state.snap(w);
         w.put_u32(self.slo_streak);
         w.put_u32(self.hard_streak);
@@ -362,8 +320,11 @@ impl mtat_snapshot::Snap for Supervisor {
     }
 
     fn unsnap(r: &mut mtat_snapshot::SnapReader<'_>) -> Result<Self, mtat_snapshot::SnapError> {
+        for _ in 0..4 {
+            r.get_u32()?;
+        }
+        r.get_u64()?;
         Ok(Self {
-            cfg: mtat_snapshot::Snap::unsnap(r)?,
             state: mtat_snapshot::Snap::unsnap(r)?,
             slo_streak: r.get_u32()?,
             hard_streak: r.get_u32()?,
@@ -381,7 +342,7 @@ mod tests {
     use super::*;
 
     fn sup() -> Supervisor {
-        Supervisor::new(SupervisorConfig::default())
+        Supervisor::default()
     }
 
     /// A mid-ladder supervisor checkpointed and restored continues its
@@ -439,7 +400,7 @@ mod tests {
         let mut s = sup();
         s.note_tick(2); // within the limit: fine
         assert_eq!(s.on_interval(5.0, false, false), DegradationState::Rl);
-        s.note_tick(10); // beyond stale_limit_ticks = 3
+        s.note_tick(10); // beyond STALE_LIMIT_TICKS = 3
         assert_eq!(
             s.on_interval(10.0, false, false),
             DegradationState::Proportional
@@ -479,7 +440,7 @@ mod tests {
             DegradationState::Proportional
         );
         // Sensor still dead: no re-promotion no matter how calm the SLO
-        // is — and after `static_after_hard_faults` more blind intervals
+        // is — and after `STATIC_AFTER_HARD_FAULTS` more blind intervals
         // the supervisor escalates to the static LC-priority split.
         assert_eq!(
             s.on_interval(5.0, false, true),

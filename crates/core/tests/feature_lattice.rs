@@ -1,8 +1,8 @@
 //! The feature lattice: every combination of faults × checkpoints ×
-//! health × scenario runs under three observer set-ups — none; metrics
-//! with SLO alerts and a telemetry hub; full span tracing. Where
-//! checkpoints are on, the runs carry the bit-identity restart probe at
-//! t=20 and are compared with one unprobed run as well.
+//! health × scenario × hardening runs under three observer set-ups —
+//! none; metrics with SLO alerts and a telemetry hub; full span tracing.
+//! Where checkpoints are on, the runs carry the bit-identity restart
+//! probe at t=20 and are compared with one unprobed run as well.
 //!
 //! Observers never feed back into the physics and a checkpoint restored
 //! in place changes nothing, so every run of a configuration must give
@@ -49,9 +49,10 @@ fn faults() -> FaultPlan {
         .with(FaultKind::ClockSkew { factor: 3.0 }, 47.0, 5.0)
 }
 
-fn run(exp: &Experiment) -> RunResult {
+fn run(exp: &Experiment, hardened: bool) -> RunResult {
     let mut cfg = MtatConfig::full().with_heuristic_sizer().supervised();
     cfg.online_learning = false;
+    cfg.hardened = hardened;
     let mut policy = MtatPolicy::new(cfg, &exp.cfg, &exp.lc, &exp.bes);
     exp.run(&mut policy)
 }
@@ -68,12 +69,17 @@ fn identity(r: &RunResult) -> (u64, Vec<String>) {
 
 #[test]
 fn every_stage_combination_is_observer_and_probe_neutral() {
-    for bits in 0..16u32 {
-        let (with_faults, with_ckpt, with_health, with_scenario) =
-            (bits & 1 != 0, bits & 2 != 0, bits & 4 != 0, bits & 8 != 0);
+    for bits in 0..32u32 {
+        let (with_faults, with_ckpt, with_health, with_scenario, hardened) = (
+            bits & 1 != 0,
+            bits & 2 != 0,
+            bits & 4 != 0,
+            bits & 8 != 0,
+            bits & 16 != 0,
+        );
         let label = format!(
             "faults={with_faults} checkpoints={with_ckpt} health={with_health} \
-             scenario={with_scenario}"
+             scenario={with_scenario} hardened={hardened}"
         );
         let mut exp = base();
         if with_faults {
@@ -88,7 +94,7 @@ fn every_stage_combination_is_observer_and_probe_neutral() {
         let mut reference = None;
         if with_ckpt {
             let plain = exp.clone().with_checkpoints(CheckpointCfg::in_memory());
-            reference = Some(identity(&run(&plain.with_obs(Obs::disabled()))));
+            reference = Some(identity(&run(&plain.with_obs(Obs::disabled()), hardened)));
             exp = exp.with_checkpoints(CheckpointCfg::in_memory().with_restart_probe(20.0));
         }
         let observed = [
@@ -100,7 +106,7 @@ fn every_stage_combination_is_observer_and_probe_neutral() {
             exp.with_obs(Obs::traced()),
         ];
         for (i, variant) in observed.iter().enumerate() {
-            let r = run(variant);
+            let r = run(variant, hardened);
             assert_eq!(r.ticks.len(), 60, "{label} observer {i}");
             if let Some(h) = &r.health {
                 assert!(h.final_audit_ok, "{label} observer {i}: {h:?}");

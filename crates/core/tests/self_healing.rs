@@ -10,7 +10,8 @@
 //! * a corrupted newest checkpoint generation is skipped and the
 //!   rollback restores the older known-good generation;
 //! * exhausting the rollback budget quarantines the run — contained at
-//!   the Static rung, alive to the end;
+//!   the Static rung, alive to the end — and a PP-M crash restart after
+//!   the quarantine does not undo it, supervised or not;
 //! * the crash-stop ablation arm takes the daemon down permanently and
 //!   reports its incidents as unrecovered;
 //! * a rollback inside a PP-M crash window keeps the daemon down until
@@ -52,9 +53,16 @@ fn experiment(load: LoadPattern, secs: f64) -> Experiment {
 /// sentinel and rollback path must handle live SAC weights, not a
 /// heuristic stand-in.
 fn rl_policy(exp: &Experiment) -> MtatPolicy {
-    let mut cfg = MtatConfig::full().supervised();
-    cfg.pretrain_steps = 400;
-    cfg.online_learning = true;
+    rl_policy_as(MtatConfig::full().supervised(), exp)
+}
+
+/// `cfg` with a short pretraining and online learning.
+fn rl_policy_as(cfg: MtatConfig, exp: &Experiment) -> MtatPolicy {
+    let cfg = MtatConfig {
+        pretrain_steps: 400,
+        online_learning: true,
+        ..cfg
+    };
     MtatPolicy::new(cfg, &exp.cfg, &exp.lc, &exp.bes)
 }
 
@@ -160,35 +168,93 @@ fn rollback_falls_back_past_corrupted_generation() {
     );
 }
 
-/// Two poison strikes against a budget of one rollback: the second
-/// exhausts the budget and the monitor quarantines — supervisor latched
-/// at Static, run alive and contained to the end.
-#[test]
-fn budget_exhaustion_quarantines_and_contains() {
-    let plan = FaultPlan::new(0xB4D9)
-        .with(FaultKind::SacPoison, 21.0, 1.0)
-        .with(FaultKind::SacPoison, 41.0, 1.0);
-    let exp = experiment(LoadPattern::Constant(0.5), 70.0)
+/// Four poison strikes 20 s apart against the budget of three rollbacks:
+/// the strikes at t=21, 41 and 61 roll back and the one at t=81
+/// quarantines. `crash` adds a PP-M crash over [90, 95), after the
+/// quarantine, whose restart reloads a generation captured before it:
+/// the poison probe skips every capture of the poisoned controller.
+fn quarantine_experiment(crash: bool) -> Experiment {
+    let mut plan = FaultPlan::new(0xB4D9);
+    for at in [21.0, 41.0, 61.0, 81.0] {
+        plan = plan.with(FaultKind::SacPoison, at, 1.0);
+    }
+    if crash {
+        plan = plan.with(FaultKind::PpmCrash, 90.0, 5.0);
+    }
+    experiment(LoadPattern::Constant(0.5), 130.0)
         .with_fault_plan(plan)
         .with_checkpoints(CheckpointCfg::in_memory())
-        .with_health(
-            HealthConfig::self_heal()
-                .with_budget(1, 600.0)
-                .with_hysteresis(2.0),
-        );
+        .with_health(HealthConfig::self_heal())
+}
 
-    let r = exp.run(&mut rl_policy(&exp));
-    assert_eq!(r.ticks.len(), 70, "quarantine contains; it does not kill");
-    let h = r.health.expect("summary");
-    assert_eq!(h.rollbacks, 1, "budget of one: {h:?}");
+/// The time of the run's quarantine, asserting it happened.
+fn quarantined_at(r: &mtat_core::RunResult) -> f64 {
+    let h = r.health.as_ref().expect("summary");
     assert!(h.quarantined, "{h:?}");
     assert_eq!(h.final_state, HealthState::Quarantined);
     assert!(h.final_audit_ok, "contained run stays consistent");
-    let last = r.ticks.last().expect("nonempty");
-    assert_eq!(
-        last.degradation,
-        Some(DegradationState::Static),
-        "quarantine pins the ladder at Static"
+    let q = h.events.iter().find(|e| e.kind == "quarantine");
+    q.expect("quarantine event").at_secs
+}
+
+/// Exhausting the rollback budget quarantines — supervisor latched at
+/// Static, run alive and contained to the end.
+#[test]
+fn budget_exhaustion_quarantines_and_contains() {
+    let exp = quarantine_experiment(false);
+    let r = exp.run(&mut rl_policy(&exp));
+    assert_eq!(r.ticks.len(), 130, "quarantine contains; it does not kill");
+    let at = quarantined_at(&r);
+    let h = r.health.as_ref().expect("summary");
+    assert_eq!(h.rollbacks, 3, "budget of three: {h:?}");
+    for k in r.ticks.iter().filter(|k| k.t >= at) {
+        assert_eq!(
+            k.degradation,
+            Some(DegradationState::Static),
+            "quarantine pins the ladder at Static: t={}",
+            k.t
+        );
+    }
+}
+
+/// Supervised, a crash restart after the quarantine reloads a
+/// pre-quarantine generation with the latch clear; the quarantine must
+/// still pin the ladder at Static to the end.
+#[test]
+fn crash_restart_keeps_supervised_quarantine() {
+    let exp = quarantine_experiment(true);
+    let r = exp.run(&mut rl_policy(&exp));
+    let at = quarantined_at(&r);
+    for k in r.ticks.iter().filter(|k| k.t >= at) {
+        assert_eq!(
+            k.degradation,
+            Some(DegradationState::Static),
+            "quarantine survives the restart: t={}",
+            k.t
+        );
+    }
+}
+
+/// Unsupervised, quarantine parks the daemon; a crash restart after it
+/// must not revive PP-M.
+#[test]
+fn crash_restart_keeps_unsupervised_quarantine() {
+    let obs = Obs::traced();
+    let exp = quarantine_experiment(true).with_obs(obs.clone());
+    let r = exp.run(&mut rl_policy_as(MtatConfig::full(), &exp));
+    let at = quarantined_at(&r);
+    let plans: Vec<f64> = obs
+        .with_tracer(|t| {
+            t.spans()
+                .iter()
+                .filter(|s| s.name == "ppm-plan")
+                .map(|s| s.sim_secs)
+                .collect()
+        })
+        .expect("traced handle has a tracer");
+    assert!(
+        plans.iter().all(|&t| t < at),
+        "PP-M planned after the quarantine at t={at}: {plans:?}"
     );
 }
 

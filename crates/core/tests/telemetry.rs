@@ -127,7 +127,6 @@ fn test_rule() -> AlertRule {
         slow_secs: 60.0,
         pending_secs: 5.0,
         clear_secs: 30.0,
-        resolve_ratio: 1.0,
     }
 }
 

@@ -50,13 +50,6 @@ impl Adam {
         self.t.get()
     }
 
-    /// Restores the time step from a checkpoint. Bias correction uses
-    /// `t` directly, so a resumed optimizer must continue from the exact
-    /// step the snapshot captured to stay bit-identical.
-    pub fn set_step_count(&self, t: u64) {
-        self.t.set(t);
-    }
-
     /// Applies one Adam update to `params` given accumulated `grads`
     /// (scaled by `grad_scale`, e.g. `1/batch`), maintaining first and
     /// second moments `m` and `v` in place.

@@ -60,11 +60,8 @@ pub struct AlertRule {
     pub slow_secs: f64,
     /// Dwell above threshold before `Pending` promotes to `Firing`.
     pub pending_secs: f64,
-    /// Dwell below the resolve threshold before `Firing` clears.
+    /// Dwell with the fast burn below `factor` before `Firing` clears.
     pub clear_secs: f64,
-    /// Resolve hysteresis: clears when the fast burn stays below
-    /// `factor * resolve_ratio` (1.0 = symmetric, 0.5 = sticky).
-    pub resolve_ratio: f64,
 }
 
 impl AlertRule {
@@ -80,7 +77,6 @@ impl AlertRule {
             slow_secs: 300.0,
             pending_secs: 10.0,
             clear_secs: 30.0,
-            resolve_ratio: 1.0,
         }
     }
 
@@ -95,7 +91,6 @@ impl AlertRule {
             slow_secs: 1800.0,
             pending_secs: 60.0,
             clear_secs: 120.0,
-            resolve_ratio: 1.0,
         }
     }
 
@@ -161,8 +156,8 @@ struct RuleState {
     state: AlertState,
     /// Sim time the pending dwell began (while `Pending`).
     pending_since: f64,
-    /// Sim time the clear dwell began (while `Firing` and below the
-    /// resolve threshold); `None` while still burning.
+    /// Sim time the clear dwell began (while `Firing` with the fast burn
+    /// below `factor`); `None` while still burning.
     clear_since: Option<f64>,
     fast: WindowSum,
     slow: WindowSum,
@@ -271,7 +266,7 @@ impl BurnRateEngine {
     fn step_rule(&mut self, i: usize, now: f64, fast_burn: f64, slow_burn: f64) {
         let rule = &self.rules[i];
         let active = fast_burn >= rule.factor && slow_burn >= rule.factor;
-        let cleared = fast_burn < rule.factor * rule.resolve_ratio;
+        let cleared = fast_burn < rule.factor;
         let (pending_secs, clear_secs) = (rule.pending_secs, rule.clear_secs);
         let st = &mut self.states[i];
         let from = st.state;
@@ -388,7 +383,6 @@ mod tests {
             slow_secs: 30.0,
             pending_secs: pending,
             clear_secs: clear,
-            resolve_ratio: 1.0,
         }
     }
 

@@ -199,12 +199,6 @@ impl Histogram {
         relative_error_bound(self.bits)
     }
 
-    /// Sub-bucket resolution in bits.
-    #[must_use]
-    pub fn sub_bucket_bits(&self) -> u32 {
-        self.bits
-    }
-
     /// Folds another histogram of the same resolution into this one.
     ///
     /// # Panics

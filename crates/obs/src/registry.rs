@@ -162,21 +162,6 @@ impl Registry {
         self.hists.get(name)
     }
 
-    /// Registered counter names in sorted order.
-    pub fn counter_names(&self) -> impl Iterator<Item = &str> {
-        self.counters.keys().map(String::as_str)
-    }
-
-    /// Registered gauge names in sorted order.
-    pub fn gauge_names(&self) -> impl Iterator<Item = &str> {
-        self.gauges.keys().map(String::as_str)
-    }
-
-    /// Registered histogram names in sorted order.
-    pub fn histogram_names(&self) -> impl Iterator<Item = &str> {
-        self.hists.keys().map(String::as_str)
-    }
-
     /// True when nothing has been registered.
     #[must_use]
     pub fn is_empty(&self) -> bool {

@@ -293,13 +293,6 @@ impl TieredMemory {
         self.is_fmem_raw(page.index())
     }
 
-    /// The residency bitset words (bit set ⇔ FMem). The tail word's bits
-    /// at and above [`Self::page_count`] are zero.
-    #[inline]
-    pub fn fmem_bit_words(&self) -> &[u64] {
-        &self.fmem_bits
-    }
-
     /// Pages currently used in a tier.
     #[inline]
     pub fn used_pages(&self, tier: Tier) -> u64 {
