@@ -703,7 +703,7 @@ impl Policy for MtatPolicy {
             // Latch the ladder at its trustworthy last rung; on_interval
             // holds there with no re-promotion.
             sup.set_latched(true, now_secs);
-            self.ppm.set_mode(DegradationState::Static);
+            self.ppm.set_mode(sup.state());
         } else {
             // Unsupervised: park the daemon entirely. PP-E keeps
             // enforcing the last plan — the paper's crash-survival
@@ -716,10 +716,11 @@ impl Policy for MtatPolicy {
         // Re-enter via a conservative rung: the restored agent proved
         // trustworthy once, but the condition that poisoned its
         // successor may still be live. The ladder re-promotes to RL
-        // only after its healthy window.
+        // only after its healthy window. A latched ladder stays at
+        // Static.
         if let Some(sup) = &mut self.supervisor {
             sup.force_demote(DegradationState::Proportional, now_secs);
-            self.ppm.set_mode(DegradationState::Proportional);
+            self.ppm.set_mode(sup.state());
         }
     }
 

@@ -145,8 +145,13 @@ impl Supervisor {
     /// streak-driven evaluation. The health monitor uses this after a
     /// rollback to re-enter via a conservative rung instead of handing a
     /// freshly restored agent straight back the controls. All streaks
-    /// reset so the new state gets a clean evaluation window.
+    /// reset so the new state gets a clean evaluation window. A no-op
+    /// while the quarantine latch holds the ladder at Static: callers
+    /// read the rung that took effect from [`Self::state`].
     pub fn force_demote(&mut self, to: DegradationState, now_secs: f64) {
+        if self.latched {
+            return;
+        }
         if to != self.state {
             self.state = to;
             self.transitions.push(Transition {
@@ -166,10 +171,10 @@ impl Supervisor {
     /// never re-promotes — the contained-but-alive terminal state the
     /// health monitor enters when its rollback budget is exhausted.
     pub fn set_latched(&mut self, latched: bool, now_secs: f64) {
-        self.latched = latched;
         if latched {
             self.force_demote(DegradationState::Static, now_secs);
         }
+        self.latched = latched;
     }
 
     /// Whether the quarantine latch is set.
@@ -566,6 +571,11 @@ mod tests {
         assert_eq!(restored.state(), DegradationState::Static);
         restored.restore_latched(true);
         assert!(restored.is_latched());
+        // A forced demotion cannot move the latched ladder.
+        let n = s.transitions().len();
+        s.force_demote(DegradationState::Proportional, 40.0);
+        assert_eq!(s.state(), DegradationState::Static);
+        assert_eq!(s.transitions().len(), n);
         // Clearing the latch restores the normal re-promotion path.
         s.set_latched(false, 80.0);
         for i in 0..2 {

@@ -4,6 +4,8 @@
 //! * registry aggregates (tick counters, the P99 latency histogram)
 //!   must agree with the run's own [`mtat_core::RunResult`] record, and
 //!   a policy that reads no per-page samples must pay no sampler pass;
+//! * the paper configuration samples its BEs densely and its LC
+//!   sparsely, so both sampler bookkeepings run;
 //! * enabling observability must not perturb the simulation — runs
 //!   with telemetry on and off are bit-identical;
 //! * a forced plan-conservation audit violation must leave a flight
@@ -101,6 +103,30 @@ fn registry_matches_run_aggregates() {
         err <= bound,
         "histogram p99 {approx} vs exact {exact}: err {err} > bound {bound}"
     );
+}
+
+/// The sampler picks its bookkeeping by batch density, and the paper
+/// configuration runs both: each paper BE draws more events per tick
+/// than half its pages (dense), while the LC draws ~0.2 per page
+/// (sparse). Twenty ticks of MEMTIS count every BE batch as dense and
+/// no LC batch.
+#[test]
+fn paper_scale_runs_both_sampling_bookkeepings() {
+    let obs = Obs::enabled();
+    let bes = BeSpec::all_paper_workloads();
+    let n_bes = bes.len() as u64;
+    Experiment::new(
+        SimConfig::paper(),
+        LcSpec::redis(),
+        LoadPattern::fig7(),
+        bes,
+    )
+    .with_duration(20.0)
+    .with_obs(obs.clone())
+    .run(&mut MemtisPolicy::new());
+    let counter = |name| obs.counter_value(name).unwrap_or(0);
+    assert_eq!(counter("tiermem.sampler.batches"), 20 * (1 + n_bes));
+    assert_eq!(counter("tiermem.sampler.dense_batches"), 20 * n_bes);
 }
 
 /// Telemetry must be invisible to the physics: the same experiment with
