@@ -880,8 +880,9 @@ impl Faults {
     /// daemon dying while the in-kernel PP-E keeps enforcing its last
     /// plan; on recovery a fresh daemon reloads the newest checkpoint
     /// generation that verifies, or restarts cold, and after a rollback
-    /// inside the window re-enters as after any rollback, unless the
-    /// monitor has quarantined it meanwhile.
+    /// inside the window re-enters as after any rollback. A quarantine
+    /// the monitor entered meanwhile holds: the restore re-enters it, and
+    /// the supervisor's latch ignores the rollback's demotion.
     fn begin_tick(
         &mut self,
         t: &Tick,
@@ -934,7 +935,7 @@ impl Faults {
                 }
                 let payload = latest.as_ref().map(|(_, p)| p.as_slice());
                 restore_controller(policy, mem, payload, false, quarantined, t.now);
-                if std::mem::take(&mut self.rolled_back_while_down) && !quarantined {
+                if std::mem::take(&mut self.rolled_back_while_down) {
                     policy.after_rollback(t.now);
                 }
             }
