@@ -20,6 +20,10 @@ Prints each checked value next to its committed one and exits 1 on any
 mismatch. Each floor is half the median normalised value over ten or
 more gate runs on a 2-core 2.1 GHz Xeon VM; changing the yardstick loop
 in `microbench` re-bases every floor.
+
+Also prints, unchecked, microbench's `sample_draw_kernel` ("avx512" or
+"scalar"): the sampler picks its draw kernel from the CPU at run time,
+so the log names the kernel the floor was checked on.
 """
 
 import json
@@ -48,7 +52,8 @@ def main():
     with open(".github/bench_gate.json") as f:
         gate = json.load(f)[workload]
     with open(micro_path) as f:
-        yardstick = json.load(f)["yardstick_ns_per_step"]
+        micro = json.load(f)
+    yardstick = micro["yardstick_ns_per_step"]
 
     rows = [
         ("correct", result["correct"], True, result["correct"]),
@@ -64,6 +69,7 @@ def main():
     norm = tps * yardstick
     rows.append(("ticks_per_s", round(tps, 1), "-", True))
     rows.append(("yardstick_ns_per_step", yardstick, "-", True))
+    rows.append(("sample_draw_kernel", micro.get("sample_draw_kernel", "-"), "-", True))
     rows.append(("ticks_per_1e9_yardstick_steps", round(norm), gate["floor"], norm >= gate["floor"]))
 
     for name, got, want, ok in rows:

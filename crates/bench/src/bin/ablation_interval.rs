@@ -1,8 +1,9 @@
 //! Ablation — the partitioning-interval length.
 //!
 //! The paper's prototype updates partitions once per minute; this
-//! reproduction defaults to 10 s (DESIGN.md §4b). This ablation sweeps
-//! the interval and shows the trade-off the choice sits on:
+//! reproduction defaults to 5 s (`SimConfig::paper()`, DESIGN.md §4b).
+//! This ablation sweeps the interval and shows the trade-off the choice
+//! sits on:
 //!
 //! * shorter intervals track the Fig.-7 load steps faster (fewer
 //!   transient violations) but decide more often;

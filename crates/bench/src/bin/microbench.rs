@@ -24,6 +24,12 @@
 //!   `heal_storm`'s shape: 2 048 pages (2 GiB at 1 MiB), Zipf 0.8,
 //!   period 101, ~166 K events per call (~81 per page), buffers reused
 //!   so every batch takes the dense bookkeeping (ns/event);
+//! * **dense uniform sample** — `sample_uniform_estimates_touched` at
+//!   `heal_storm`'s LC shape: 1 229 pages (1.2 GiB at 1 MiB), period
+//!   101, ~31 K events per call (~25 per page), dense as well
+//!   (ns/event). Both dense rows, and the paper-density one, run on the
+//!   sampler's draw kernel, reported as `sample_draw_kernel`
+//!   (`"avx512"` or `"scalar"`, picked from the CPU at run time);
 //! * **SAC** — one gradient round of a warmed paper-config agent (ms;
 //!   MTAT runs one every second partitioning decision and every second
 //!   pretraining step), and one greedy and one exploring action (µs;
@@ -279,6 +285,28 @@ fn bench_dense_sample() -> f64 {
     secs * 1e9 / events as f64
 }
 
+/// Pages of `heal_storm`'s LC (a 1.2 GiB Redis at 1 MiB pages).
+const HEAL_LC_PAGES: usize = 1229;
+
+/// True accesses per page and call that give ~31 K sampled events, as
+/// `heal_storm`'s LC receives each tick.
+const HEAL_LC_TRUE_PER_PAGE: f64 = 31_000.0 * HEAL_PERIOD / HEAL_LC_PAGES as f64;
+
+/// Times `sample_uniform_estimates_touched` at `heal_storm`'s LC shape,
+/// where every batch is dense. Returns ns/event.
+fn bench_uniform_dense_sample() -> f64 {
+    let mut sampler = AccessSampler::new(HEAL_PERIOD, 13).unwrap();
+    let (mut est, mut touched) = (vec![0u64; HEAL_LC_PAGES], TouchedSet::default());
+    let (mut secs, mut events) = (0.0, 0u64);
+    while secs < MIN_SECS {
+        let t = Instant::now();
+        sampler.sample_uniform_estimates_touched(&mut est, &mut touched, HEAL_LC_TRUE_PER_PAGE);
+        secs += t.elapsed().as_secs_f64();
+        events += est.iter().map(|&e| e / HEAL_PERIOD as u64).sum::<u64>();
+    }
+    secs * 1e9 / events as f64
+}
+
 /// A paper-config agent whose replay buffer holds 512 plausible
 /// transitions (and which has run its first rounds on them).
 fn warmed_sac() -> Sac {
@@ -459,6 +487,15 @@ fn main() {
     eprintln!("# microbench: dense sample at heal_storm's shape (2048 pages, ~166 K events)...");
     let dense_ns = bench_dense_sample();
     eprintln!("#   {dense_ns:.2} ns/event");
+    eprintln!(
+        "# microbench: dense uniform sample at heal_storm's LC shape (1229 pages, ~31 K events)..."
+    );
+    let uniform_dense_ns = bench_uniform_dense_sample();
+    let kernel = AccessSampler::new(HEAL_PERIOD, 0)
+        .unwrap()
+        .draw_kernel()
+        .name();
+    eprintln!("#   {uniform_dense_ns:.2} ns/event; draw kernel {kernel}");
     eprintln!("# microbench: SAC gradient round and actions (paper config)...");
     let (round_ms, greedy_us, explore_us) = bench_sac();
     eprintln!("#   round {round_ms:.3} ms, greedy {greedy_us:.2} us, exploring {explore_us:.2} us");
@@ -477,7 +514,7 @@ fn main() {
     eprintln!("#   {yardstick_ns:.2} ns/step");
 
     let json = format!(
-        "{{\n  \"schema\": 6,\n  \
+        "{{\n  \"schema\": 7,\n  \
          \"migrate_batch_pages_per_sec\": {migrate:.0},\n  \
          \"rebin_ops_per_sec\": {rebin:.0},\n  \
          \"hottest_scan_per_sec\": {scans:.0},\n  \
@@ -485,6 +522,8 @@ fn main() {
          \"coldest_scan_per_sec\": {cold_scans:.0},\n  \
          \"sample_weighted_ns_per_event\": {sample_ns:.3},\n  \
          \"sample_weighted_dense_ns_per_event\": {dense_ns:.3},\n  \
+         \"sample_uniform_dense_ns_per_event\": {uniform_dense_ns:.3},\n  \
+         \"sample_draw_kernel\": \"{kernel}\",\n  \
          \"hist_add_ranks_ns_per_rank\": {add_ns:.3},\n  \
          \"hist_age_ns_per_rank\": {age_ns:.3},\n  \
          \"sac_update_round_ms\": {round_ms:.4},\n  \

@@ -11,8 +11,9 @@
 //!   rollback restores the older known-good generation;
 //! * exhausting the rollback budget quarantines the run — contained at
 //!   the Static rung, alive to the end — and neither a PP-M crash
-//!   restart after the quarantine, supervised or not, nor a hardened
-//!   policy's working-set-pressure escalation undoes it;
+//!   restart after the quarantine, supervised or not, nor the rollback
+//!   re-entry of a restart whose crash window held a rollback, nor a
+//!   hardened policy's working-set-pressure escalation undoes it;
 //! * the crash-stop ablation arm takes the daemon down permanently and
 //!   reports its incidents as unrecovered;
 //! * a rollback inside a PP-M crash window keeps the daemon down until
@@ -232,6 +233,48 @@ fn crash_restart_keeps_supervised_quarantine() {
             k.degradation,
             Some(DegradationState::Static),
             "quarantine survives the restart: t={}",
+            k.t
+        );
+    }
+}
+
+/// Supervised, a rollback inside a PP-M crash window followed by the
+/// quarantine: the restart at the window's end re-enters through
+/// `after_rollback` on the latched ladder, which must stay at Static.
+/// Poison at t=21 and 41 rolls back twice; inside the crash window
+/// [60, 100) the clock skew over [62, 66) raises a watchdog incident
+/// that rolls back a third time, and the skew over [82, 86) quarantines
+/// with the budget spent. The restart at t=100 then finds a rollback
+/// pending on a quarantined ladder.
+#[test]
+fn restart_after_rollback_keeps_supervised_quarantine() {
+    let plan = FaultPlan::new(0xB4D9)
+        .with(FaultKind::SacPoison, 21.0, 1.0)
+        .with(FaultKind::SacPoison, 41.0, 1.0)
+        .with(FaultKind::PpmCrash, 60.0, 40.0)
+        .with(FaultKind::ClockSkew { factor: 3.0 }, 62.0, 4.0)
+        .with(FaultKind::ClockSkew { factor: 3.0 }, 82.0, 4.0);
+    let exp = experiment(LoadPattern::Constant(0.5), 130.0)
+        .with_fault_plan(plan)
+        .with_checkpoints(CheckpointCfg::in_memory())
+        .with_health(HealthConfig::self_heal());
+    let r = exp.run(&mut rl_policy(&exp));
+    assert_eq!(r.ticks.len(), 130);
+    let at = quarantined_at(&r);
+    let h = r.health.as_ref().expect("summary");
+    assert!(
+        h.events
+            .iter()
+            .any(|e| e.kind == "rollback" && (60.0..at).contains(&e.at_secs)),
+        "no rollback inside the crash window before the quarantine at t={at}: {:?}",
+        h.events
+    );
+    assert!(at < 100.0, "quarantine at t={at} falls after the restart");
+    for k in r.ticks.iter().filter(|k| k.t >= at) {
+        assert_eq!(
+            k.degradation,
+            Some(DegradationState::Static),
+            "the restart's rollback re-entry moved the quarantined ladder: t={}",
             k.t
         );
     }
