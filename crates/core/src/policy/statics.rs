@@ -131,8 +131,9 @@ impl Policy for StaticPolicy {
                     let need =
                         target - current - sim.mem.free_pages(Tier::FMem).min(target - current);
                     if need > 0 {
+                        let mut pages = Vec::new();
                         for &b in &bes {
-                            let pages = tracker.coldest_fmem(sim.mem, b, need as usize);
+                            tracker.coldest_fmem_into(&mut pages, sim.mem, b, need as usize);
                             let granted =
                                 sim.migration.try_consume_pages(pages.len() as u64) as usize;
                             for &p in pages.iter().take(granted) {

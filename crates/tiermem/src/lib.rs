@@ -54,6 +54,7 @@ pub mod bandwidth;
 pub mod error;
 pub mod faults;
 pub mod histogram;
+pub mod kernel;
 pub mod latency;
 pub mod memory;
 pub mod migration;

@@ -13,7 +13,7 @@
 //! over-ranking lukewarm ones.
 //!
 //! The batched paths draw their events through one of two kernels
-//! ([`DrawKernel`]), picked from the CPU when the sampler is built: a
+//! ([`Kernel`]), picked from the CPU when the sampler is built: a
 //! block kernel that computes SplitMix64 and the rank map eight lanes
 //! per AVX-512 instruction where the CPU reports AVX-512F, DQ and VL,
 //! and the per-event scalar loop everywhere else. Both take the same
@@ -28,6 +28,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::error::TierMemError;
+use crate::kernel::Kernel;
 
 /// One slot of the Walker alias decomposition: a fixed-point threshold
 /// and the alias rank events above the threshold are redirected to.
@@ -311,6 +312,21 @@ impl TouchedSet {
         }
     }
 
+    /// A set holding exactly the ranks of `words`, for tests that build
+    /// touched patterns by hand.
+    #[cfg(test)]
+    pub(crate) fn from_words(words: Vec<u64>) -> Self {
+        Self { words, all: false }
+    }
+
+    /// The set's words, bit `i % 64` of word `i / 64` for rank `i`.
+    /// Meaningless in the all-dirty state, which has no rank list.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u64] {
+        debug_assert!(!self.all, "dense fallback has no rank list");
+        &self.words
+    }
+
     /// Iterates touched ranks in ascending order — the same order a
     /// dense front-to-back walk would visit them, so consumers keyed on
     /// visit order (histogram bin insertion) behave identically. Must
@@ -377,7 +393,13 @@ pub struct AccessSampler {
     scale: Box<[u64; SCALE_TABLE_LEN]>,
     rng: StdRng,
     /// How batches draw their events; picked from the CPU by `new`.
-    kernel: DrawKernel,
+    /// On `Kernel::Avx512`, blocks of 64 events run SplitMix64 and the
+    /// rank map eight lanes per instruction, then the increments one by
+    /// one in draw order; the last `events % 64`, and every event on
+    /// `Kernel::Scalar`, go one at a time. Both take the same draws in
+    /// the same order and map each to the same rank, so every count,
+    /// estimate, touched rank and RNG state is the same on either.
+    kernel: Kernel,
     /// Fault hook: when set, every sample reads zero (PEBS blackout).
     fault_blackout: bool,
     /// Fault hook: extra event survival fraction in (0, 1]; 1.0 is
@@ -411,7 +433,7 @@ impl AccessSampler {
             period,
             scale: Box::new(std::array::from_fn(|k| round_to_u64(k as f64 * period))),
             rng: StdRng::seed_from_u64(seed),
-            kernel: DrawKernel::detect(),
+            kernel: Kernel::detect(),
             fault_blackout: false,
             fault_keep: 1.0,
             obs: Obs::disabled(),
@@ -443,7 +465,7 @@ impl AccessSampler {
     }
 
     /// The kernel the batched paths draw their events with.
-    pub fn draw_kernel(&self) -> DrawKernel {
+    pub fn draw_kernel(&self) -> Kernel {
         self.kernel
     }
 
@@ -645,11 +667,11 @@ impl AccessSampler {
         R: Fn(u64) -> usize,
     {
         #[cfg(target_arch = "x86_64")]
-        let events = if self.kernel == DrawKernel::Avx512 {
+        let events = if self.kernel == Kernel::Avx512 {
             let mut block = [0usize; BLOCK];
             for _ in 0..events / BLOCK as u64 {
                 // SAFETY: `kernel` is `Avx512` only where
-                // `DrawKernel::detect` found AVX-512F, DQ and VL on this
+                // `Kernel::detect` found AVX-512F, DQ and VL on this
                 // CPU.
                 unsafe { draw_block_avx512(&mut self.rng, &mut block, rank) };
                 for &r in &block {
@@ -714,43 +736,6 @@ fn uniform_rank(r: u64, n: u32) -> usize {
 /// Draws per block of the AVX-512 draw kernel.
 #[cfg(target_arch = "x86_64")]
 const BLOCK: usize = 64;
-
-/// How an [`AccessSampler`] draws its batches' events. Both kernels
-/// take the same draws in the same order and map each to the same rank,
-/// so every count, estimate, touched rank and RNG state is the same on
-/// either; only the time differs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DrawKernel {
-    /// One event at a time: draw, map to a rank, increment.
-    Scalar,
-    /// Blocks of 64 events: SplitMix64 and the rank map eight lanes per
-    /// AVX-512 instruction, then the increments one by one in draw
-    /// order; the last `events % 64` go one at a time.
-    Avx512,
-}
-
-impl DrawKernel {
-    /// The fastest kernel this CPU runs: the block kernel where it
-    /// reports AVX-512F, DQ and VL, the scalar one everywhere else.
-    fn detect() -> Self {
-        #[cfg(target_arch = "x86_64")]
-        if is_x86_feature_detected!("avx512f")
-            && is_x86_feature_detected!("avx512dq")
-            && is_x86_feature_detected!("avx512vl")
-        {
-            return Self::Avx512;
-        }
-        Self::Scalar
-    }
-
-    /// `"avx512"` or `"scalar"`.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Scalar => "scalar",
-            Self::Avx512 => "avx512",
-        }
-    }
-}
 
 /// Fills `block` with the ranks of the next 64 draws: the draws
 /// from [`StdRng::fill_u64`], then `rank` on each, both compiled for
@@ -1138,19 +1123,8 @@ mod tests {
         counts
     }
 
-    /// The draw kernels this CPU runs: the scalar one always, the block
-    /// one where `DrawKernel::detect` picks it (which
-    /// `sampler_picks_the_block_kernel_on_avx512` pins to the CPU).
-    fn kernels() -> Vec<DrawKernel> {
-        let mut ks = vec![DrawKernel::Scalar];
-        if DrawKernel::detect() == DrawKernel::Avx512 {
-            ks.push(DrawKernel::Avx512);
-        }
-        ks
-    }
-
-    /// A sampler on `kernel`, which must be one of [`kernels`].
-    fn sampler_on(kernel: DrawKernel, period: f64, seed: u64) -> AccessSampler {
+    /// A sampler on `kernel`, which must be one of [`Kernel::available`].
+    fn sampler_on(kernel: Kernel, period: f64, seed: u64) -> AccessSampler {
         let mut s = AccessSampler::new(period, seed).unwrap();
         s.kernel = kernel;
         s
@@ -1197,7 +1171,7 @@ mod tests {
     fn touched_kernels_match_reference_scatter() {
         let table = WeightTable::new(&zipf(2048, 0.9)).unwrap();
         let n = table.len();
-        for kernel in kernels() {
+        for kernel in Kernel::available() {
             for period in [1.0, 3.7, 101.0, 1009.0] {
                 let mut s = sampler_on(kernel, period, 99);
                 let (mut out, mut touched) = (vec![0u64; n], TouchedSet::default());
@@ -1222,7 +1196,7 @@ mod tests {
             }
         }
 
-        for kernel in kernels() {
+        for kernel in Kernel::available() {
             for n in SCATTER_SIZES {
                 let table = WeightTable::new(&zipf(n, 0.9)).unwrap();
                 for weighted in [false, true] {
@@ -1271,12 +1245,12 @@ mod tests {
     /// whichever bookkeeping each call took.
     #[test]
     fn touched_set_holds_exactly_the_nonzero_ranks() {
-        for kernel in kernels() {
+        for kernel in Kernel::available() {
             touched_set_holds_exactly_the_nonzero_ranks_on(kernel);
         }
     }
 
-    fn touched_set_holds_exactly_the_nonzero_ranks_on(kernel: DrawKernel) {
+    fn touched_set_holds_exactly_the_nonzero_ranks_on(kernel: Kernel) {
         let table = WeightTable::new(&zipf(300, 1.1)).unwrap();
         let mut s = sampler_on(kernel, 8.0, 5);
         for uniform in [false, true] {
@@ -1329,9 +1303,9 @@ mod tests {
         let avx512 = false;
         let kernel = AccessSampler::new(8.0, 0).unwrap().draw_kernel();
         let want = if avx512 {
-            DrawKernel::Avx512
+            Kernel::Avx512
         } else {
-            DrawKernel::Scalar
+            Kernel::Scalar
         };
         assert_eq!(kernel, want);
         assert_eq!(kernel.name(), if avx512 { "avx512" } else { "scalar" });
@@ -1342,7 +1316,7 @@ mod tests {
     /// nothing, leaves the RNG where it was and counts no batch.
     #[test]
     fn empty_and_all_zero_tables_never_draw() {
-        for kernel in kernels() {
+        for kernel in Kernel::available() {
             for weights in [vec![], vec![0.0; 100]] {
                 let table = WeightTable::new(&weights).unwrap();
                 let mut s = sampler_on(kernel, 1.0, 3);
