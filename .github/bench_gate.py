@@ -21,14 +21,21 @@ mismatch. Each floor is half the median normalised value over ten or
 more gate runs on a 2-core 2.1 GHz Xeon VM; changing the yardstick loop
 in `microbench` re-bases every floor.
 
-Also prints, unchecked, microbench's `sample_draw_kernel` and
-`hist_kernel` ("avx512" or "scalar"): the sampler picks its draw kernel,
-and the access histograms their record kernel, from the CPU at run
-time, so the log names the kernels the floor was checked on.
+Also prints, unchecked, microbench's `sample_draw_kernel`,
+`hist_kernel` and `nn_kernel` ("avx512" or "scalar"): the sampler picks
+its draw kernel, the access histograms their record kernel and the SAC
+networks' layers their batched kernel from the CPU at run time, so the
+log names the kernels the floor was checked on.
+
+benchmark/reference.json and .github/bench_gate.json are read relative
+to this file, so the script runs from any working directory.
 """
 
 import json
 import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
 
 COUNTERS = [
     "sample.events_per_tick",
@@ -48,9 +55,9 @@ def main():
     workload, run_path, micro_path = sys.argv[1:4]
     with open(run_path) as f:
         detail, result = [json.loads(line) for line in f][-2:]
-    with open("benchmark/reference.json") as f:
+    with open(ROOT / "benchmark" / "reference.json") as f:
         want_digest = json.load(f)[workload]["digest"]
-    with open(".github/bench_gate.json") as f:
+    with open(ROOT / ".github" / "bench_gate.json") as f:
         gate = json.load(f)[workload]
     with open(micro_path) as f:
         micro = json.load(f)
@@ -72,6 +79,7 @@ def main():
     rows.append(("yardstick_ns_per_step", yardstick, "-", True))
     rows.append(("sample_draw_kernel", micro.get("sample_draw_kernel", "-"), "-", True))
     rows.append(("hist_kernel", micro.get("hist_kernel", "-"), "-", True))
+    rows.append(("nn_kernel", micro.get("nn_kernel", "-"), "-", True))
     rows.append(("ticks_per_1e9_yardstick_steps", round(norm), gate["floor"], norm >= gate["floor"]))
 
     for name, got, want, ok in rows:

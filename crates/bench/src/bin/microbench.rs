@@ -28,14 +28,20 @@
 //! * **dense uniform sample** — `sample_uniform_estimates_touched` at
 //!   `heal_storm`'s LC shape: 1 229 pages (1.2 GiB at 1 MiB), period
 //!   101, ~31 K events per call (~25 per page), dense as well
-//!   (ns/event). Both dense rows, and the paper-density one, run on the
-//!   sampler's draw kernel, reported as `sample_draw_kernel`
-//!   (`"avx512"` or `"scalar"`, picked from the CPU at run time); the
-//!   record row runs on the histogram's, reported as `hist_kernel`;
+//!   (ns/event);
+//! * **sparse uniform sample** — `sample_uniform_estimates_touched` at
+//!   the paper LC shape: 17.2 K pages at period 1009, ~0.3 events per
+//!   page (~5.2 K per call), so every batch takes the sparse
+//!   bookkeeping, as every paper-scale LC batch does (ns/event). The
+//!   four sampler rows run on the sampler's kernel, reported as
+//!   `sample_draw_kernel` (`"avx512"` or `"scalar"`, picked from the
+//!   CPU at run time); the record row runs on the histogram's, reported
+//!   as `hist_kernel`;
 //! * **SAC** — one gradient round of a warmed paper-config agent (ms;
 //!   MTAT runs one every second partitioning decision and every second
 //!   pretraining step), and one greedy and one exploring action (µs;
-//!   one per decision, one per pretraining step);
+//!   one per decision, one per pretraining step), on the networks'
+//!   batched kernel, reported as `nn_kernel`;
 //! * **page table** — on the paper-scale memory (an FMem-first 33 GiB
 //!   workload and an all-SMem 35 GiB one): one page's
 //!   SMem→FMem round trip through `migrate` (ns), one 64-page
@@ -61,6 +67,7 @@ use std::hint::black_box;
 use std::time::Instant;
 
 use mtat_core::ppm::profiler::profile_all;
+use mtat_nn::linear::Linear;
 use mtat_rl::replay::Transition;
 use mtat_rl::sac::{Sac, SacConfig};
 use mtat_tiermem::histogram::{AccessHistogram, NUM_BINS};
@@ -309,6 +316,30 @@ fn bench_uniform_dense_sample() -> f64 {
     secs * 1e9 / events as f64
 }
 
+/// Sampled events per page and call at the paper LC shape.
+const PAPER_LC_EVENTS_PER_PAGE: f64 = 0.3;
+
+/// Times `sample_uniform_estimates_touched` at the paper LC shape
+/// ([`PAPER_PAGES`] pages at [`PAPER_PERIOD`]), where every batch is
+/// sparse: each event sets its rank's bit, and only touched entries are
+/// reset and scaled. Returns ns/event.
+fn bench_uniform_sparse_sample() -> f64 {
+    let mut sampler = AccessSampler::new(PAPER_PERIOD, 17).unwrap();
+    let (mut est, mut touched) = (vec![0u64; PAPER_PAGES], TouchedSet::default());
+    let (mut secs, mut events) = (0.0, 0u64);
+    while secs < MIN_SECS {
+        let t = Instant::now();
+        sampler.sample_uniform_estimates_touched(
+            &mut est,
+            &mut touched,
+            PAPER_LC_EVENTS_PER_PAGE * PAPER_PERIOD,
+        );
+        secs += t.elapsed().as_secs_f64();
+        events += est.iter().map(|&e| e / PAPER_PERIOD as u64).sum::<u64>();
+    }
+    secs * 1e9 / events as f64
+}
+
 /// A paper-config agent whose replay buffer holds 512 plausible
 /// transitions (and which has run its first rounds on them).
 fn warmed_sac() -> Sac {
@@ -503,10 +534,19 @@ fn main() {
         .unwrap()
         .draw_kernel()
         .name();
-    eprintln!("#   {uniform_dense_ns:.2} ns/event; draw kernel {kernel}");
+    eprintln!("#   {uniform_dense_ns:.2} ns/event");
+    eprintln!(
+        "# microbench: sparse uniform sample at the paper LC shape (17.2 K pages, ~5.2 K events)..."
+    );
+    let uniform_sparse_ns = bench_uniform_sparse_sample();
+    eprintln!("#   {uniform_sparse_ns:.2} ns/event; draw kernel {kernel}");
     eprintln!("# microbench: SAC gradient round and actions (paper config)...");
     let (round_ms, greedy_us, explore_us) = bench_sac();
-    eprintln!("#   round {round_ms:.3} ms, greedy {greedy_us:.2} us, exploring {explore_us:.2} us");
+    let nn_kernel = Linear::with_seed(1, 1, 0).kernel().name();
+    eprintln!(
+        "#   round {round_ms:.3} ms, greedy {greedy_us:.2} us, exploring {explore_us:.2} us; \
+         nn kernel {nn_kernel}"
+    );
     eprintln!("# microbench: page table and migration engine (paper scale)...");
     let (roundtrip_ns, exchange_us, budget_ns, residency_us) = bench_page_table();
     eprintln!(
@@ -522,7 +562,7 @@ fn main() {
     eprintln!("#   {yardstick_ns:.2} ns/step");
 
     let json = format!(
-        "{{\n  \"schema\": 8,\n  \
+        "{{\n  \"schema\": 9,\n  \
          \"migrate_batch_pages_per_sec\": {migrate:.0},\n  \
          \"rebin_ops_per_sec\": {rebin:.0},\n  \
          \"hottest_scan_per_sec\": {scans:.0},\n  \
@@ -531,6 +571,7 @@ fn main() {
          \"sample_weighted_ns_per_event\": {sample_ns:.3},\n  \
          \"sample_weighted_dense_ns_per_event\": {dense_ns:.3},\n  \
          \"sample_uniform_dense_ns_per_event\": {uniform_dense_ns:.3},\n  \
+         \"sample_uniform_sparse_ns_per_event\": {uniform_sparse_ns:.3},\n  \
          \"sample_draw_kernel\": \"{kernel}\",\n  \
          \"hist_add_ranks_ns_per_rank\": {add_ns:.3},\n  \
          \"hist_age_ns_per_rank\": {age_ns:.3},\n  \
@@ -538,6 +579,7 @@ fn main() {
          \"sac_update_round_ms\": {round_ms:.4},\n  \
          \"sac_act_deterministic_us\": {greedy_us:.3},\n  \
          \"sac_act_us\": {explore_us:.3},\n  \
+         \"nn_kernel\": \"{nn_kernel}\",\n  \
          \"migrate_roundtrip_ns\": {roundtrip_ns:.1},\n  \
          \"exchange_64_pages_us\": {exchange_us:.3},\n  \
          \"engine_budget_ns_per_tick\": {budget_ns:.1},\n  \

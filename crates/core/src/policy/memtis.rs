@@ -72,6 +72,7 @@ impl Policy for MemtisPolicy {
             let _track = self.obs.span(sim.now_secs, "track");
             tracker.record_tick(sim.workloads);
             if sim.interval_boundary {
+                let _age = self.obs.span(sim.now_secs, "age");
                 tracker.age_all();
             }
         }

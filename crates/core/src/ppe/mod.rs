@@ -159,8 +159,10 @@ impl PartitionPolicyEnforcer {
         self.tracker.record_tick(workloads);
     }
 
-    /// Ages all histograms (called at each partitioning interval).
+    /// Ages all histograms (called at each partitioning interval), in
+    /// an `age` span of its own.
     pub fn age(&mut self) {
+        let _age_span = self.obs.span_here("age");
         self.tracker.age_all();
     }
 

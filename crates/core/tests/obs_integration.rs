@@ -152,7 +152,7 @@ fn obs_on_and_off_are_bit_identical() {
 /// plain metrics: a run with the full tracing handle attached is
 /// bit-identical — compared on the `f64` bit pattern — with a disabled
 /// run, under the full MTAT policy where every span and provenance hook
-/// fires (tick, sample, track, ppm-plan, sac-forward, anneal,
+/// fires (tick, sample, track, ppm-plan, age, sac-forward, anneal,
 /// ppe-enforce, migrate).
 #[test]
 fn tracing_on_and_off_are_bit_identical() {
@@ -213,6 +213,13 @@ fn tracing_on_and_off_are_bit_identical() {
             // The full config starts in RL mode with the RL sizer, so
             // the SAC forward pass is traced inside ppm-plan.
             assert!(count("sac-forward") > 0, "missing sac-forward spans");
+            // Every plan ages the histograms in a span of its own.
+            for plan in spans.iter().filter(|s| s.name == "ppm-plan") {
+                let aged = spans
+                    .iter()
+                    .any(|s| s.name == "age" && s.parent == Some(plan.id));
+                assert!(aged, "ppm-plan span {} has no age span", plan.id);
+            }
             // Every non-root span's parent exists and started no later.
             for s in spans {
                 let Some(pid) = s.parent else { continue };
