@@ -171,7 +171,8 @@ mod tests {
     /// The tracker's histograms record on the AVX-512 kernel on a CPU
     /// that reports AVX-512F, DQ and VL, and on the scalar loop on any
     /// other, so the histogram's kernel test covers the path every tick
-    /// takes.
+    /// takes. A SAC layer, whose crate keeps its own copy of the check,
+    /// picks the same kernel.
     #[test]
     fn tracker_picks_the_avx512_kernels_on_avx512() {
         #[cfg(target_arch = "x86_64")]
@@ -190,6 +191,8 @@ mod tests {
         for w in [WorkloadId(0), WorkloadId(1)] {
             assert_eq!(t.histogram(w).kernel(), want);
         }
+        let layer = mtat_nn::linear::Linear::with_seed(1, 1, 0);
+        assert_eq!(layer.kernel().name(), want.name());
     }
 
     #[test]
