@@ -9,7 +9,8 @@
 //!   does real work);
 //! * **rebin** — `AccessHistogram::add_rank` calls that each cross a
 //!   bin boundary, exercising the swap-remove + segment-push index
-//!   maintenance (ops/sec);
+//!   maintenance as a one-rank batch of the rebin pass, whose copy of
+//!   the bin table in and out it pays on every call (ops/sec);
 //! * **hottest-scan / coldest-scan** — `hottest_matching_into` and
 //!   `coldest_matching_into` over a populated histogram with the
 //!   residency-bitset predicate, the gather step of every enforcement

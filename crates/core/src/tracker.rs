@@ -193,6 +193,7 @@ mod tests {
         }
         let layer = mtat_nn::linear::Linear::with_seed(1, 1, 0);
         assert_eq!(layer.kernel().name(), want.name());
+        println!("tracker histograms' record kernel: {}", want.name());
     }
 
     #[test]

@@ -663,6 +663,7 @@ mod tests {
             <Linear as mtat_snapshot::Snap>::unsnap(&mut mtat_snapshot::SnapReader::new(&bytes));
         assert_eq!(restored.expect("valid layer").kernel(), want);
         assert_eq!(want.name(), if avx512 { "avx512" } else { "scalar" });
+        println!("SAC layers' kernel: {}", want.name());
     }
 
     #[test]

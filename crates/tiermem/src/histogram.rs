@@ -28,6 +28,9 @@ use crate::sampler::TouchedSet;
 /// far beyond anything a sampling period ≥ 1 can produce per interval.
 pub const NUM_BINS: usize = 48;
 
+/// The top bin, which clamps every count of at least 2⁴⁶.
+const TOP_BIN: u8 = (NUM_BINS - 1) as u8;
+
 /// The lowest count of the top bin, which clamps every larger count:
 /// a count at or above it never changes bin.
 #[cfg(target_arch = "x86_64")]
@@ -184,18 +187,18 @@ impl AccessHistogram {
     }
 
     /// [`Self::add`] addressed by rank directly, skipping the page-id
-    /// translation — the hot-path entry for callers (the tracker) that
-    /// already hold rank-indexed estimate buffers.
+    /// translation. A bin crossing takes [`Self::add_ranks`]' rebin pass
+    /// on a one-rank batch.
     #[inline]
     pub fn add_rank(&mut self, rank: u32, delta: u64) {
-        if delta == 0 {
-            return;
+        let r = rank as usize;
+        let old = self.counts[r];
+        let new = old.saturating_add(delta);
+        self.total += new - old;
+        self.counts[r] = new;
+        if bin_for_count(new) != bin_for_count(old) {
+            self.rebin_moved(&[rank]);
         }
-        let rank = rank as usize;
-        let new = self.counts[rank].saturating_add(delta);
-        self.total += new - self.counts[rank];
-        self.counts[rank] = new;
-        self.rebin(rank as u32);
     }
 
     /// [`Self::add_rank`]`(r, sampled[r])` for every `r` of `ranks`, in
@@ -223,9 +226,7 @@ impl AccessHistogram {
             moved.resize(sampled.len(), 0);
         }
         let k = self.update_counts(ranks, sampled, moved);
-        for &rank in &moved[..k] {
-            self.rebin(rank);
-        }
+        self.rebin_moved(&moved[..k]);
     }
 
     /// [`Self::add_ranks`]' first pass: updates the counts and total of
@@ -285,9 +286,7 @@ impl AccessHistogram {
             moved.resize(sampled.len(), 0);
         }
         let k = self.record_counts(sampled, touched, moved);
-        for &rank in &moved[..k] {
-            self.rebin(rank);
-        }
+        self.rebin_moved(&moved[..k]);
         k
     }
 
@@ -409,36 +408,42 @@ impl AccessHistogram {
         self.slots[rank as usize].0 as usize
     }
 
-    /// Number of pages currently in `bin`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bin >= NUM_BINS`.
-    #[inline]
-    pub fn bin_len(&self, bin: usize) -> usize {
-        self.segs[bin].len as usize
-    }
-
     /// Ages the histogram: halves every count (integer division) and
     /// re-bins, exactly as PP-E does at each partitioning update.
     ///
-    /// Zero-count ranks are skipped: halving keeps them at zero and in
-    /// bin 0. That saves little at paper scale, where estimates are
-    /// multiples of the sampling period (≥ 1009), a count takes ~10
-    /// intervals to halve to zero, and each sweep still finds ~99.7 %
-    /// of a workload's pages nonzero — so the sweep is O(region) there.
+    /// Two passes. The first halves every count and sums the total, a
+    /// streaming loop the compiler vectorises. The second walks the ranks
+    /// in rank order and moves each one of bin b ≥ 1 to bin b − 1:
+    /// halving a count in [2^(b−1), 2^b) lands it in [2^(b−2), 2^(b−1)).
+    /// Only the clamped top bin splits, so there the halved count picks
+    /// the bin and a rank that stays is skipped. Bin 0 holds exactly the
+    /// zero counts, which stay. These are the swap-removes and pushes,
+    /// in the same order, of rebinning every nonzero rank by its halved
+    /// count in rank order, so every bin keeps the history-dependent
+    /// order the goldens pin (DESIGN.md §4h, "Aging as a shift-down
+    /// walk"). At paper scale ~99.7 % of a workload's pages are nonzero,
+    /// so the walk is O(region).
     pub fn age(&mut self) {
-        self.total = 0;
-        for rank in 0..self.counts.len() {
-            let c = self.counts[rank];
-            if c == 0 {
-                continue;
-            }
-            let halved = c / 2;
-            self.counts[rank] = halved;
-            self.total += halved;
-            self.rebin(rank as u32);
+        let mut total = 0;
+        for c in &mut self.counts {
+            *c /= 2;
+            total += *c;
         }
+        self.total = total;
+        let mut segs = self.segs;
+        for rank in 0..self.slots.len() {
+            let slot = self.slots[rank];
+            let to = match slot.0 {
+                0 => continue,
+                TOP_BIN => match bin_for_count(self.counts[rank]) as u8 {
+                    TOP_BIN => continue,
+                    to => to,
+                },
+                b => b - 1,
+            };
+            self.move_rank(&mut segs, rank as u32, slot, to);
+        }
+        self.segs = segs;
     }
 
     /// Returns up to `n` of the *hottest* pages satisfying `pred`,
@@ -531,36 +536,58 @@ impl AccessHistogram {
             .unwrap_or_else(|| panic!("{page} outside histogram region {:?}", self.region))
     }
 
-    /// Moves `rank` to the bin its current count demands, if different.
+    /// The rebin pass of [`Self::add_ranks`], [`Self::record`] and
+    /// [`Self::add_rank`]: moves each rank of `ranks`, in order, from the
+    /// bin its slot names to the bin its count now demands. Every rank
+    /// must have changed bin, as the count passes guarantee.
+    fn rebin_moved(&mut self, ranks: &[u32]) {
+        let mut segs = self.segs;
+        for &rank in ranks {
+            let slot = self.slots[rank as usize];
+            let to = bin_for_count(self.counts[rank as usize]) as u8;
+            debug_assert_ne!(to, slot.0, "rank {rank} did not change bin");
+            self.move_rank(&mut segs, rank, slot, to);
+        }
+        self.segs = segs;
+    }
+
+    /// Moves `rank` from `(from, pos)`, its bin and position, to the tail
+    /// of bin `to`. `segs` stands in for `self.segs` through a pass: a
+    /// local copy, so that the stores into `arena` and `slots` do not
+    /// force the bin table to be re-read. It is written back around the
+    /// cold [`Self::grow_bin`], which reads and rewrites the whole table,
+    /// and the caller writes it back when the pass ends.
     ///
     /// The move is the same swap-remove + push the `Vec<Vec>` layout
     /// performed, applied to the arena segments — crucially preserving
     /// the history-dependent bin-internal order, which is observable
     /// through hottest/coldest tie-breaks and pinned by the determinism
     /// contract.
-    #[inline]
-    fn rebin(&mut self, rank: u32) {
-        let (old_bin, pos) = self.slots[rank as usize];
-        let new_bin = bin_for_count(self.counts[rank as usize]) as u8;
-        if new_bin == old_bin {
-            return;
-        }
+    #[inline(always)]
+    fn move_rank(
+        &mut self,
+        segs: &mut [BinSeg; NUM_BINS],
+        rank: u32,
+        (from, pos): (u8, u32),
+        to: u8,
+    ) {
         // Swap-remove from the old segment, fixing the displaced slot.
         // Removing the segment's last rank needs no branch: it becomes a
         // self-copy, and the push below overwrites its slot.
-        let seg = &mut self.segs[old_bin as usize];
+        let seg = &mut segs[from as usize];
         seg.len -= 1;
-        let moved_rank = self.arena[(seg.off + seg.len) as usize];
-        self.arena[(seg.off + pos) as usize] = moved_rank;
-        self.slots[moved_rank as usize].1 = pos;
+        let last = self.arena[(seg.off + seg.len) as usize];
+        self.arena[(seg.off + pos) as usize] = last;
+        self.slots[last as usize].1 = pos;
         // Push onto the new segment's tail.
-        let seg = self.segs[new_bin as usize];
-        if seg.len == seg.cap {
-            self.grow_bin(new_bin);
+        if segs[to as usize].len == segs[to as usize].cap {
+            self.segs = *segs;
+            self.grow_bin(to);
+            *segs = self.segs;
         }
-        let seg = &mut self.segs[new_bin as usize];
+        let seg = &mut segs[to as usize];
         self.arena[(seg.off + seg.len) as usize] = rank;
-        self.slots[rank as usize] = (new_bin, seg.len);
+        self.slots[rank as usize] = (to, seg.len);
         seg.len += 1;
     }
 
@@ -761,6 +788,61 @@ mod tests {
         }
     }
 
+    /// v1's per-call rebin and per-rank aging, the references the rebin
+    /// pass and the shift-down walk must match bit for bit.
+    impl AccessHistogram {
+        /// v1's `add_rank`: the count update, then [`Self::rebin_v1`].
+        fn add_rank_v1(&mut self, rank: u32, delta: u64) {
+            if delta == 0 {
+                return;
+            }
+            let rank = rank as usize;
+            let new = self.counts[rank].saturating_add(delta);
+            self.total += new - self.counts[rank];
+            self.counts[rank] = new;
+            self.rebin_v1(rank as u32);
+        }
+
+        /// v1's `age`: halves every nonzero count and rebins it, in rank
+        /// order.
+        fn age_v1(&mut self) {
+            self.total = 0;
+            for rank in 0..self.counts.len() {
+                let c = self.counts[rank];
+                if c == 0 {
+                    continue;
+                }
+                let halved = c / 2;
+                self.counts[rank] = halved;
+                self.total += halved;
+                self.rebin_v1(rank as u32);
+            }
+        }
+
+        /// v1's `rebin`: moves `rank` to the bin its current count
+        /// demands, if different, by swap-remove and push.
+        fn rebin_v1(&mut self, rank: u32) {
+            let (old_bin, pos) = self.slots[rank as usize];
+            let new_bin = bin_for_count(self.counts[rank as usize]) as u8;
+            if new_bin == old_bin {
+                return;
+            }
+            let seg = &mut self.segs[old_bin as usize];
+            seg.len -= 1;
+            let moved_rank = self.arena[(seg.off + seg.len) as usize];
+            self.arena[(seg.off + pos) as usize] = moved_rank;
+            self.slots[moved_rank as usize].1 = pos;
+            let seg = self.segs[new_bin as usize];
+            if seg.len == seg.cap {
+                self.grow_bin(new_bin);
+            }
+            let seg = &mut self.segs[new_bin as usize];
+            self.arena[(seg.off + seg.len) as usize] = rank;
+            self.slots[rank as usize] = (new_bin, seg.len);
+            seg.len += 1;
+        }
+    }
+
     #[test]
     fn bin_boundaries_double() {
         assert_eq!(bin_for_count(0), 0);
@@ -776,7 +858,7 @@ mod tests {
     #[test]
     fn new_histogram_is_all_zero_bin() {
         let h = AccessHistogram::new(region(10));
-        assert_eq!(h.bin_len(0), 10);
+        assert!((100..110).all(|p| h.bin_of(PageId(p)) == 0));
         assert_eq!(h.total(), 0);
         h.check_invariants().unwrap();
     }
@@ -817,7 +899,7 @@ mod tests {
             h.age();
         }
         assert_eq!(h.total(), 0);
-        assert_eq!(h.bin_len(0), 2);
+        assert!((100..102).all(|p| h.bin_of(PageId(p)) == 0));
         h.check_invariants().unwrap();
     }
 
@@ -1076,10 +1158,11 @@ mod tests {
 
     /// Estimates for `n` ranks from `seed`, on every rank (the untouched
     /// ones must not be recorded): zero, multiples of the paper's period
-    /// 1009, small raw counts and counts in the clamped top bin (≥ 2⁴⁶).
-    /// With `giant`, rank `giant % n` instead reads near `u64::MAX` and
-    /// every other rank zero, so its count saturates while the total
-    /// stays below 2⁶⁴.
+    /// 1009, small raw counts, and counts in the clamped top bin, both in
+    /// [2⁴⁶, 2⁴⁷), which aging drops to bin 46, and in [2⁴⁷, 2⁴⁸), which
+    /// stay in the top bin. With `giant`, rank `giant % n` instead reads
+    /// near `u64::MAX` and every other rank zero, so its count saturates
+    /// while the total stays below 2⁶⁴.
     fn estimates(n: usize, seed: u64, giant: Option<usize>) -> Vec<u64> {
         let mut x = seed | 1;
         let mut next = move || {
@@ -1096,11 +1179,12 @@ mod tests {
         (0..n)
             .map(|_| {
                 let r = next();
-                match r % 4 {
+                match r % 5 {
                     0 => 0,
                     1 => 1009 * (r >> 50),
                     2 => r >> 60,
-                    _ => (1 << 46) + (r >> 16),
+                    3 => 1 << 46 | r >> 18,
+                    _ => 1 << 47 | r >> 17,
                 }
             })
             .collect()
@@ -1125,72 +1209,209 @@ mod tests {
         w.into_bytes()
     }
 
-    mod kernel_props {
+    /// `h` restored from its own snapshot on the same kernel: the arena
+    /// rebuilt with no headroom in any segment, so the next push into
+    /// any bin grows it.
+    fn restored(h: &AccessHistogram) -> AccessHistogram {
+        use mtat_snapshot::{Snap, SnapReader};
+        let bytes = snap_bytes(h);
+        let mut r = AccessHistogram::unsnap(&mut SnapReader::new(&bytes)).unwrap();
+        r.kernel = h.kernel;
+        r
+    }
+
+    /// The shift-down walk leaves every histogram of a long history
+    /// exactly as v1's per-rank aging does, through restores whose tight
+    /// segments make the walk's pushes grow bins, and through at least
+    /// one compaction of the arena inside a walk.
+    #[test]
+    fn age_walk_matches_v1_through_grow_and_compact() {
+        let n = 300;
+        let mut reference = AccessHistogram::new(region(n as u32));
+        let mut h = reference.clone();
+        let (mut grew, mut compacted) = (false, false);
+        for step in 0..40u64 {
+            let est = estimates(n, step.wrapping_mul(0x9e37_79b9_7f4a_7c15), None);
+            for (r, &e) in est.iter().enumerate() {
+                if !(r as u64 + step).is_multiple_of(3) {
+                    reference.add_rank_v1(r as u32, e);
+                    h.add_rank(r as u32, e);
+                }
+            }
+            if step % 4 == 0 {
+                h = restored(&h);
+            }
+            let (arena, garbage) = (h.arena.len(), h.garbage);
+            for _ in 0..1 + step % 3 {
+                reference.age_v1();
+                h.age();
+                assert_eq!(snap_bytes(&h), snap_bytes(&reference), "step {step}");
+            }
+            grew |= h.arena.len() > arena;
+            compacted |= h.garbage < garbage;
+            h.check_invariants().unwrap();
+        }
+        assert!(grew && compacted, "grew {grew}, compacted {compacted}");
+    }
+
+    mod v1_props {
         use super::*;
         use proptest::prelude::*;
 
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
+            #![proptest_config(ProptestConfig::with_cases(256))]
 
-            /// `record` on every kernel leaves the histogram exactly as
-            /// `add_ranks` over the same ranks does (same `Snap` bytes:
-            /// counts, total, bins and bin order) and rebins the same
-            /// ranks in the same order, over random histories of touched
-            /// and all-dirty batches with aging between them, for buffers
-            /// whose last word is partial, full or the only one.
+            /// `record` on every kernel, `add_ranks` and a loop of
+            /// `add_rank` each leave the histogram exactly as v1's loop of
+            /// per-call rebins does, and `age` exactly as v1's per-rank
+            /// walk (same `Snap` bytes: counts, total, bins, bin order and
+            /// slots), and `record`'s count pass hands the rebin pass the
+            /// ranks that changed bin in ascending order. The histories
+            /// mix touched and all-dirty batches, agings, and restores
+            /// through `unsnap`, over buffers whose last word is partial,
+            /// full or the only one; counts reach both halves of the top
+            /// bin, and one history in seven saturates a count.
             #[test]
-            fn record_kernels_match_add_ranks(
+            fn rebin_passes_and_aging_match_v1(
                 n_pick in 0usize..6,
-                batches in prop::collection::vec(
-                    (0u8..5, 0u64..u64::MAX, 0u64..u64::MAX, prop::bool::ANY),
-                    1..8,
-                ),
+                steps in prop::collection::vec((0u8..8, 0u64..u64::MAX, 0u64..u64::MAX), 1..12),
                 giant in (0u8..7, 0usize..1000),
             ) {
                 let n = [1usize, 63, 64, 65, 127, 300][n_pick];
-                // One history in seven saturates a count, one batch in
-                // five is all-dirty.
                 let giant = (giant.0 == 0).then_some(giant.1);
                 let mut reference = AccessHistogram::new(region(n as u32));
-                let mut hists: Vec<AccessHistogram> = Kernel::available()
-                    .into_iter()
-                    .map(|kernel| {
-                        let mut h = reference.clone();
-                        h.kernel = kernel;
-                        h
-                    })
-                    .collect();
-                let (mut moved_ref, mut moved) = (Vec::new(), Vec::new());
-                for &(dirty_pick, touch_seed, est_seed, age) in &batches {
-                    let all_dirty = dirty_pick == 0;
-                    let est = estimates(n, est_seed, giant);
-                    let touched = if all_dirty {
-                        TouchedSet::default()
-                    } else {
-                        TouchedSet::from_words(touched_words(n, touch_seed))
-                    };
-                    let ranks: Vec<usize> = if all_dirty {
-                        (0..n).collect()
-                    } else {
-                        touched.iter_ranks().collect()
-                    };
-                    let want_moved = bin_changes(&reference, &ranks, &est);
-                    reference.add_ranks(ranks.iter().copied(), &est, &mut moved_ref);
-                    let want = snap_bytes(&reference);
-                    for h in &mut hists {
-                        let k = h.record_counted(&est, &touched, &mut moved);
-                        assert_eq!(&moved[..k], &want_moved[..], "{:?}", h.kernel);
-                        assert_eq!(snap_bytes(h), want, "{:?}", h.kernel);
-                    }
-                    if age {
-                        reference.age();
-                        for h in &mut hists {
-                            h.age();
+                // One histogram per record kernel, then the `add_ranks`
+                // and the `add_rank` one.
+                let kernels = Kernel::available();
+                let mut hists = vec![reference.clone(); kernels.len() + 2];
+                for (h, &kernel) in hists.iter_mut().zip(&kernels) {
+                    h.kernel = kernel;
+                }
+                let mut moved = Vec::new();
+                for &(kind, touch_seed, est_seed) in &steps {
+                    match kind {
+                        0 | 1 => {
+                            reference.age_v1();
+                            for h in &mut hists {
+                                h.age();
+                            }
+                        }
+                        2 => {
+                            for h in &mut hists {
+                                *h = restored(h);
+                            }
+                        }
+                        _ => {
+                            // One batch in five is all-dirty.
+                            let touched = if kind == 3 {
+                                TouchedSet::default()
+                            } else {
+                                TouchedSet::from_words(touched_words(n, touch_seed))
+                            };
+                            let ranks: Vec<usize> = if touched.is_all() {
+                                (0..n).collect()
+                            } else {
+                                touched.iter_ranks().collect()
+                            };
+                            let est = estimates(n, est_seed, giant);
+                            let want_moved = bin_changes(&reference, &ranks, &est);
+                            for &r in &ranks {
+                                reference.add_rank_v1(r as u32, est[r]);
+                            }
+                            let (record, rest) = hists.split_at_mut(kernels.len());
+                            for h in record {
+                                let k = h.record_counted(&est, &touched, &mut moved);
+                                assert_eq!(&moved[..k], &want_moved[..], "{:?}", h.kernel);
+                            }
+                            rest[0].add_ranks(ranks.iter().copied(), &est, &mut moved);
+                            for &r in &ranks {
+                                rest[1].add_rank(r as u32, est[r]);
+                            }
                         }
                     }
+                    let want = snap_bytes(&reference);
+                    for (i, h) in hists.iter().enumerate() {
+                        assert_eq!(snap_bytes(h), want, "histogram {i}, step kind {kind}");
+                    }
                 }
-                reference.check_invariants().unwrap();
+                for h in &hists {
+                    h.check_invariants().unwrap();
+                }
             }
+
+            /// `add_ranks` leaves the histogram exactly as v1's loop of
+            /// `add_rank` over the same ranks does — counts, every bin's
+            /// internal order, slots and total, compared as `Snap` bytes —
+            /// across batches on the dense `0..n` path and on ascending
+            /// sparse subsets, with aging in between (`age` on one side,
+            /// v1's walk on the other). One case in five sends a single
+            /// rank estimates near `u64::MAX`, so its count saturates in
+            /// the clamped top bin (one such rank at a time: two would
+            /// overflow the total).
+            #[test]
+            fn add_ranks_matches_add_rank_loop(
+                n in 1usize..MAX_PAGES + 1,
+                saturate in 0usize..5 * MAX_PAGES,
+                batches in prop::collection::vec(
+                    (
+                        prop::bool::ANY,
+                        prop::collection::vec((prop::bool::ANY, estimate()), MAX_PAGES),
+                        prop::bool::ANY,
+                    ),
+                    1..10,
+                ),
+            ) {
+                let region = PageRegion { base: 11, n_pages: n as u32 };
+                let mut batched = AccessHistogram::new(region);
+                let mut looped = AccessHistogram::new(region);
+                let mut moved = Vec::new();
+                for (dense, pages, age) in batches {
+                    let est: Vec<u64> = pages[..n]
+                        .iter()
+                        .enumerate()
+                        .map(|(r, &(_, e))| {
+                            if saturate >= MAX_PAGES {
+                                e
+                            } else if r == saturate % n {
+                                u64::MAX - e % 4
+                            } else {
+                                0
+                            }
+                        })
+                        .collect();
+                    if age {
+                        batched.age();
+                        looped.age_v1();
+                    }
+                    let ranks: Vec<usize> = (0..n).filter(|&r| dense || pages[r].0).collect();
+                    if dense {
+                        batched.add_ranks(0..n, &est, &mut moved);
+                    } else {
+                        batched.add_ranks(ranks.iter().copied(), &est, &mut moved);
+                    }
+                    for &r in &ranks {
+                        looped.add_rank_v1(r as u32, est[r]);
+                    }
+                    prop_assert_eq!(snap_bytes(&batched), snap_bytes(&looped));
+                }
+                prop_assert!(batched.check_invariants().is_ok());
+            }
+        }
+
+        /// Largest region `add_ranks_matches_add_rank_loop` draws.
+        const MAX_PAGES: usize = 300;
+
+        /// One estimate as the tracker receives it: zero, a multiple of
+        /// the paper's sampling period 1009, a small raw count, or a
+        /// count in the clamped top bin (≥ 2⁴⁶; below 2⁵⁰, so 300 pages
+        /// over nine batches cannot overflow the total).
+        fn estimate() -> impl Strategy<Value = u64> {
+            (0u8..4, 0u64..1 << 50).prop_map(|(kind, x)| match kind {
+                0 => 0,
+                1 => (x % 200 + 1) * 1009,
+                2 => x % 4096 + 1,
+                _ => 1 << 46 | x,
+            })
         }
     }
 

@@ -1385,6 +1385,7 @@ mod tests {
         };
         assert_eq!(kernel, want);
         assert_eq!(kernel.name(), if avx512 { "avx512" } else { "scalar" });
+        println!("sampler's draw kernel: {}", kernel.name());
     }
 
     /// An empty or all-zero table never reaches a draw kernel (whose

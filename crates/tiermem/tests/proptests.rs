@@ -2,7 +2,6 @@
 
 use proptest::prelude::*;
 
-use mtat_snapshot::{Snap, SnapWriter};
 use mtat_tiermem::faults::{FaultInjector, FaultKind, FaultPlan, FaultWindow};
 use mtat_tiermem::histogram::{bin_for_count, AccessHistogram, NUM_BINS};
 use mtat_tiermem::latency::{achieved_throughput, erlang_c, max_load_for_p99, p99_response};
@@ -426,86 +425,4 @@ proptest! {
             prop_assert_eq!(cold_bitset, cold_naive);
         }
     }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// `add_ranks` leaves the histogram exactly as a loop of `add_rank`
-    /// over the same ranks does — counts, every bin's internal order,
-    /// slots and total, compared as `Snap` bytes — across batches on
-    /// the dense `0..n` path and on ascending sparse subsets, with
-    /// aging in between. One case in five sends a single rank estimates
-    /// near `u64::MAX`, so its count saturates in the clamped top bin
-    /// (one such rank at a time: two would overflow the total).
-    #[test]
-    fn add_ranks_matches_add_rank_loop(
-        n in 1usize..MAX_PAGES + 1,
-        saturate in 0usize..5 * MAX_PAGES,
-        batches in prop::collection::vec(
-            (
-                prop::bool::ANY,
-                prop::collection::vec((prop::bool::ANY, estimate()), MAX_PAGES),
-                prop::bool::ANY,
-            ),
-            1..10,
-        ),
-    ) {
-        let region = PageRegion { base: 11, n_pages: n as u32 };
-        let mut batched = AccessHistogram::new(region);
-        let mut looped = AccessHistogram::new(region);
-        let mut moved = Vec::new();
-        for (dense, pages, age) in batches {
-            let est: Vec<u64> = pages[..n]
-                .iter()
-                .enumerate()
-                .map(|(r, &(_, e))| {
-                    if saturate >= MAX_PAGES {
-                        e
-                    } else if r == saturate % n {
-                        u64::MAX - e % 4
-                    } else {
-                        0
-                    }
-                })
-                .collect();
-            if age {
-                batched.age();
-                looped.age();
-            }
-            let ranks: Vec<usize> = (0..n).filter(|&r| dense || pages[r].0).collect();
-            if dense {
-                batched.add_ranks(0..n, &est, &mut moved);
-            } else {
-                batched.add_ranks(ranks.iter().copied(), &est, &mut moved);
-            }
-            for &r in &ranks {
-                looped.add_rank(r as u32, est[r]);
-            }
-            prop_assert_eq!(snap_bytes(&batched), snap_bytes(&looped));
-        }
-        prop_assert!(batched.check_invariants().is_ok());
-    }
-}
-
-/// Largest region `add_ranks_matches_add_rank_loop` draws.
-const MAX_PAGES: usize = 300;
-
-fn snap_bytes(h: &AccessHistogram) -> Vec<u8> {
-    let mut w = SnapWriter::new();
-    h.snap(&mut w);
-    w.into_bytes()
-}
-
-/// One estimate as the tracker receives it: zero, a multiple of the
-/// paper's sampling period 1009, a small raw count, or a count in the
-/// clamped top bin (≥ 2⁴⁶; below 2⁵⁰, so 300 pages over nine batches
-/// cannot overflow the total).
-fn estimate() -> impl Strategy<Value = u64> {
-    (0u8..4, 0u64..1 << 50).prop_map(|(kind, x)| match kind {
-        0 => 0,
-        1 => (x % 200 + 1) * 1009,
-        2 => x % 4096 + 1,
-        _ => 1 << 46 | x,
-    })
 }
