@@ -49,6 +49,17 @@
 //!   `exchange` round trip (µs), one tick of migration-engine budget
 //!   accounting (ns), and a count of the first workload's FMem pages
 //!   over its ~17 K-page residency (µs);
+//! * **compete** — one `placement::compete_with` call, MEMTIS's whole
+//!   placement step, on the paper-scale memory: five 16 GiB tenants
+//!   whose FMem pages (40 % of each, at random to begin with) and
+//!   histograms took ten ticks of Zipf-skewed noisy counts, an aging
+//!   every fifth tick and one `compete_with` for each of the first
+//!   nine, so the order inside each bin depends on that history and
+//!   residency follows hotness; the timed call is the tenth tick's,
+//!   with k = 1024 pairs (µs; each call starts from the same memory
+//!   copy, which is not timed). It gathers ~5 K hot and ~5 K cold
+//!   candidates, and its walk consumes a few dozen pairs, as MEMTIS's
+//!   does in a steady state;
 //! * **BE profiling** — `profile_all` over the paper's four BEs at
 //!   32 GiB FMem, at 2 MiB and at 128 KiB pages (ms): the offline
 //!   profile every MTAT policy builds, and how its cost scales with the
@@ -67,7 +78,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use mtat_core::policy::{WorkloadClass, WorkloadObs};
+use mtat_core::ppe::placement::{self, PlacementScratch};
+use mtat_core::ppe::HOTNESS_HYSTERESIS;
 use mtat_core::ppm::profiler::profile_all;
+use mtat_core::tracker::HotnessTracker;
 use mtat_nn::linear::Linear;
 use mtat_rl::replay::Transition;
 use mtat_rl::sac::{Sac, SacConfig};
@@ -425,6 +440,113 @@ fn bench_page_table() -> (f64, f64, f64, f64) {
     (roundtrip * 1e9, exchange * 1e6, budget * 1e9, scan * 1e6)
 }
 
+/// Tenants of the compete row.
+const COMPETE_TENANTS: u16 = 5;
+
+/// Pages per compete tenant (16 GiB at 2 MiB).
+const COMPETE_PAGES: u32 = 8192;
+
+/// MEMTIS's pair appetite per tick.
+const COMPETE_PAIRS: u64 = 1024;
+
+/// One `compete_with` call over [`COMPETE_TENANTS`] paper-scale
+/// tenants, in µs (mean over calls from the same starting state).
+fn bench_compete() -> f64 {
+    let mut mem = TieredMemory::new(MemorySpec::paper_scale());
+    let ids: Vec<WorkloadId> = (0..COMPETE_TENANTS)
+        .map(|_| {
+            mem.register_workload(COMPETE_PAGES as u64 * 2 * MIB, InitialPlacement::AllSmem)
+                .unwrap()
+        })
+        .collect();
+    let mut x = 0x2545_f491_4f6c_dd1du64;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    // 40 % of every tenant in FMem (16 K pages, FMem's capacity), picked
+    // at random so residency and rank are unrelated.
+    for &w in &ids {
+        let region = mem.region(w);
+        let promote: Vec<PageId> = (0..COMPETE_PAGES)
+            .filter(|_| next() % 5 < 2)
+            .map(|r| region.page(r))
+            .collect();
+        mem.migrate_batch(&promote, Tier::FMem);
+    }
+    let mut tracker = HotnessTracker::new(&mem);
+    let mut scratch = PlacementScratch::default();
+    for tick in 1..=10 {
+        let obs: Vec<WorkloadObs> = ids
+            .iter()
+            .map(|&w| WorkloadObs {
+                id: w,
+                class: WorkloadClass::Be,
+                name: format!("be{}", w.0),
+                rss_bytes: COMPETE_PAGES as u64 * 2 * MIB,
+                cores: 1,
+                load_rps: 0.0,
+                p99_secs: 0.0,
+                slo_secs: f64::INFINITY,
+                hit_ratio: 0.0,
+                access_rate: 0.0,
+                throughput: 0.0,
+                // Zipf-skewed counts at the paper's sampling period, with
+                // noise so every tick moves ranks between bins.
+                sampled: (0..COMPETE_PAGES as u64)
+                    .map(|r| (40_000 / (r + 8) + next() % 4) * PAPER_PERIOD as u64)
+                    .collect(),
+                touched: Default::default(),
+                slo_violated: false,
+            })
+            .collect();
+        tracker.record_tick(&obs);
+        if tick % 5 == 0 {
+            tracker.age_all();
+        }
+        // MEMTIS's own placement each tick, so residency follows hotness
+        // and the timed call, the tenth tick's, walks a steady state's
+        // few winners.
+        if tick < 10 {
+            compete_once(&mut scratch, &mut mem, &tracker, &ids);
+        }
+    }
+    let (mut secs, mut calls) = (0.0, 0u64);
+    while secs < MIN_SECS {
+        let mut m = mem.clone();
+        let t = Instant::now();
+        black_box(compete_once(&mut scratch, &mut m, &tracker, &ids));
+        secs += t.elapsed().as_secs_f64();
+        calls += 1;
+    }
+    secs * 1e6 / calls as f64
+}
+
+/// One MEMTIS placement step over `ids` with a fresh one-second
+/// budget at the paper's migration bandwidth. Returns pages moved.
+fn compete_once(
+    scratch: &mut PlacementScratch,
+    mem: &mut TieredMemory,
+    tracker: &HotnessTracker,
+    ids: &[WorkloadId],
+) -> u64 {
+    let mut engine = MigrationEngine::new(4.0 * GIB as f64, 2 * MIB, 10.0).unwrap();
+    engine.begin_tick(1.0);
+    let pool_cap = mem.spec().fmem_pages();
+    placement::compete_with(
+        scratch,
+        mem,
+        &mut engine,
+        tracker,
+        ids,
+        pool_cap,
+        COMPETE_PAIRS,
+        HOTNESS_HYSTERESIS,
+    )
+}
+
 /// `profile_all` over the paper's four BEs at 32 GiB FMem and
 /// `page_size`, in ms.
 fn bench_be_profile(page_size: u64) -> f64 {
@@ -554,6 +676,9 @@ fn main() {
         "#   migrate round trip {roundtrip_ns:.1} ns, exchange 64 {exchange_us:.2} us, \
          budget {budget_ns:.1} ns, residency scan {residency_us:.2} us"
     );
+    eprintln!("# microbench: compete (five paper-scale tenants, k = 1024)...");
+    let compete_us = bench_compete();
+    eprintln!("#   {compete_us:.1} us/call");
     eprintln!("# microbench: BE profiling (four paper BEs, 32 GiB FMem)...");
     let profile_2mib = bench_be_profile(2 * MIB);
     let profile_128kib = bench_be_profile(128 * KIB);
@@ -563,7 +688,7 @@ fn main() {
     eprintln!("#   {yardstick_ns:.2} ns/step");
 
     let json = format!(
-        "{{\n  \"schema\": 9,\n  \
+        "{{\n  \"schema\": 10,\n  \
          \"migrate_batch_pages_per_sec\": {migrate:.0},\n  \
          \"rebin_ops_per_sec\": {rebin:.0},\n  \
          \"hottest_scan_per_sec\": {scans:.0},\n  \
@@ -585,6 +710,7 @@ fn main() {
          \"exchange_64_pages_us\": {exchange_us:.3},\n  \
          \"engine_budget_ns_per_tick\": {budget_ns:.1},\n  \
          \"residency_scan_17k_us\": {residency_us:.3},\n  \
+         \"compete_us\": {compete_us:.1},\n  \
          \"be_profile_ms_2mib\": {profile_2mib:.3},\n  \
          \"be_profile_ms_128kib\": {profile_128kib:.3},\n  \
          \"yardstick_ns_per_step\": {yardstick_ns:.3}\n}}\n"

@@ -47,6 +47,7 @@ pub mod health;
 pub mod policy;
 pub mod ppe;
 pub mod ppm;
+pub(crate) mod prefix_sort;
 pub mod runner;
 pub mod stats;
 pub mod supervisor;

@@ -22,6 +22,7 @@ use mtat_tiermem::memory::TieredMemory;
 use mtat_tiermem::page::{PageId, Tier, WorkloadId};
 
 use crate::policy::{Policy, SimState, WorkloadObs};
+use crate::prefix_sort::{Order, PrefixSort};
 
 /// Fraction of SMem accesses that take a NUMA-hint minor fault. With
 /// [`FAULT_COST_SECS`], calibrated so that an LC workload running
@@ -41,6 +42,8 @@ pub struct TppPolicy {
     /// Per-page tick of last observed access (0 = never).
     last_access: Vec<u64>,
     tick_index: u64,
+    /// Sorts each candidate list as far as the tick reads it.
+    sort: PrefixSort,
 }
 
 impl TppPolicy {
@@ -85,7 +88,8 @@ impl Policy for TppPolicy {
                 }
             }
         }
-        candidates.sort_unstable_by_key(|&(est, _)| std::cmp::Reverse(est));
+        self.sort
+            .sort_prefix(&mut candidates, Order::Descending, PROMOTIONS_PER_TICK);
         candidates.truncate(PROMOTIONS_PER_TICK);
 
         if candidates.is_empty() {
@@ -108,10 +112,10 @@ impl Policy for TppPolicy {
                     lru.push((self.last_access[p.index()], p));
                 }
             }
-            lru.sort_unstable_by_key(|&(t, _)| t);
             let take = (need as usize).min(lru.len());
             let granted = sim.migration.try_consume_pages(take as u64) as usize;
-            for &(_, p) in lru.iter().take(granted) {
+            self.sort.sort_prefix(&mut lru, Order::Ascending, granted);
+            for &(_, p) in &lru[..granted] {
                 // Skip pages that cannot move right now (e.g. a full
                 // slow tier) instead of panicking; the watermark check
                 // simply runs again next tick.

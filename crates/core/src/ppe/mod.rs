@@ -25,6 +25,7 @@ use mtat_tiermem::page::{Tier, WorkloadId};
 
 use crate::policy::WorkloadObs;
 use crate::ppe::adjust::AdjustmentSchedule;
+use crate::prefix_sort::{Order, PrefixSort, Ranked};
 use crate::tracker::HotnessTracker;
 
 /// Per-workload partition directive: an enforced page count, or free
@@ -85,7 +86,9 @@ pub struct PartitionPolicyEnforcer {
     /// Slice-execution candidate buffer reused across ticks.
     slice_pages: Vec<mtat_tiermem::page::PageId>,
     /// Ranked eviction-candidate buffer reused across ticks.
-    ranked_buf: Vec<(u64, mtat_tiermem::page::PageId)>,
+    ranked_buf: Vec<Ranked>,
+    /// Sorts `ranked_buf` as far as `make_room` reads it.
+    ranked_sort: PrefixSort,
     /// Telemetry handle; phase spans for adjustment vs refinement.
     obs: mtat_obs::Obs,
 }
@@ -115,6 +118,7 @@ impl PartitionPolicyEnforcer {
             scratch: placement::PlacementScratch::default(),
             slice_pages: Vec::new(),
             ranked_buf: Vec::new(),
+            ranked_sort: PrefixSort::default(),
             obs: mtat_obs::Obs::disabled(),
         }
     }
@@ -360,11 +364,12 @@ impl PartitionPolicyEnforcer {
                 }
             }
         }
-        candidates.sort_unstable_by_key(|&(c, _)| c);
         let take = (need as usize).min(candidates.len());
         let granted = engine.try_consume_pages(take as u64) as usize;
+        self.ranked_sort
+            .sort_prefix(&mut candidates, Order::Ascending, granted);
         pages.clear();
-        pages.extend(candidates.iter().take(granted).map(|&(_, p)| p));
+        pages.extend(candidates[..granted].iter().map(|&(_, p)| p));
         mem.migrate_batch(&pages, Tier::SMem);
         self.ranked_buf = candidates;
         self.slice_pages = pages;

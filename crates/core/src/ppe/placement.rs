@@ -17,6 +17,7 @@ use mtat_tiermem::memory::TieredMemory;
 use mtat_tiermem::migration::MigrationEngine;
 use mtat_tiermem::page::{PageId, Tier, WorkloadId};
 
+use crate::prefix_sort::{Order, PrefixSort, Ranked};
 use crate::tracker::HotnessTracker;
 
 /// Reusable candidate buffers for the placement primitives. Policies
@@ -26,8 +27,10 @@ use crate::tracker::HotnessTracker;
 pub struct PlacementScratch {
     hot_pages: Vec<PageId>,
     cold_pages: Vec<PageId>,
-    hot_ranked: Vec<(u64, PageId)>,
-    cold_ranked: Vec<(u64, PageId)>,
+    hot_ranked: Vec<Ranked>,
+    cold_ranked: Vec<Ranked>,
+    hot_sort: PrefixSort,
+    cold_sort: PrefixSort,
     promote_buf: Vec<PageId>,
     pair_buf: Vec<(PageId, PageId)>,
 }
@@ -225,7 +228,8 @@ pub fn compete_with(
     if k == 0 {
         return 0;
     }
-    // Gather candidates: (count, page) sorted hottest-first / coldest-first.
+    // Gather candidates: (count, page), to be sorted hottest-first /
+    // coldest-first only as far as the walk reads them.
     let hot = &mut scratch.hot_ranked;
     let cold = &mut scratch.cold_ranked;
     hot.clear();
@@ -241,8 +245,9 @@ pub fn compete_with(
             cold.push((hist.count(p), p));
         }
     }
-    hot.sort_unstable_by_key(|&(count, _)| std::cmp::Reverse(count));
-    cold.sort_unstable_by_key(|&(count, _)| count);
+    let (hot_sort, cold_sort) = (&mut scratch.hot_sort, &mut scratch.cold_sort);
+    hot_sort.start(hot, Order::Descending);
+    cold_sort.start(cold, Order::Ascending);
 
     let mut pool_used: u64 = ws.iter().map(|&w| mem.residency(w).fmem_pages).sum();
     if engine.may_fail() {
@@ -250,7 +255,9 @@ pub fn compete_with(
         // exact per-granted-page failure draws.
         let mut moved = 0;
         let mut ci = 0;
-        for &(hcount, hpage) in hot.iter() {
+        for hi in 0..hot.len() {
+            hot_sort.sort_to(hot, hi + 1);
+            let (hcount, hpage) = hot[hi];
             if hcount == 0 {
                 break; // nothing hot left to justify a move
             }
@@ -264,6 +271,7 @@ pub fn compete_with(
                     moved += 1;
                 }
             } else if ci < cold.len() {
+                cold_sort.sort_to(cold, ci + 1);
                 let (ccount, cpage) = cold[ci];
                 if (hcount as f64) <= ccount as f64 * hysteresis {
                     break; // the hottest leftover cannot displace anything
@@ -308,7 +316,9 @@ pub fn compete_with(
     pairs.clear();
     let mut total: u64 = 0;
     let mut ci = 0;
-    for &(hcount, hpage) in hot.iter() {
+    for hi in 0..hot.len() {
+        hot_sort.sort_to(hot, hi + 1);
+        let (hcount, hpage) = hot[hi];
         if hcount == 0 {
             break;
         }
@@ -322,6 +332,7 @@ pub fn compete_with(
             pool_used += 1;
             free -= 1;
         } else if ci < cold.len() {
+            cold_sort.sort_to(cold, ci + 1);
             let (ccount, cpage) = cold[ci];
             if (hcount as f64) <= ccount as f64 * hysteresis {
                 break;

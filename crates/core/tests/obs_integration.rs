@@ -47,7 +47,7 @@ fn experiment(load: LoadPattern, secs: f64) -> Experiment {
 /// histogram approximates.
 fn exact_percentile(samples: &mut [u64], p: f64) -> u64 {
     assert!(!samples.is_empty());
-    samples.sort_unstable();
+    samples.sort();
     let n = samples.len();
     let rank = ((p / 100.0 * n as f64).ceil() as usize).clamp(1, n);
     samples[rank - 1]
