@@ -62,8 +62,15 @@
 //!   does in a steady state;
 //! * **BE profiling** — `profile_all` over the paper's four BEs at
 //!   32 GiB FMem, at 2 MiB and at 128 KiB pages (ms): the offline
-//!   profile every MTAT policy builds, and how its cost scales with the
-//!   page count;
+//!   profile from the BE specs, and how its cost scales with the page
+//!   count;
+//! * **MTAT set-up** — `MtatPolicy::new` (MTAT (Full), 3 000
+//!   pretraining steps, the agent taken from the process-wide cache
+//!   that an untimed first call fills) plus a zero-tick
+//!   `Experiment::try_run` on the paper's co-location (Redis and the
+//!   four BEs at paper scale), in ms: everything a paper-scale MTAT
+//!   run pays before its first tick apart from pretraining, including
+//!   the BE inputs, the page table and the policy's `init`;
 //! * **yardstick** — a frozen loop of dependent pointer-chase loads
 //!   over a buffer larger than L2, each followed by a burst of integer
 //!   arithmetic that the next load waits for (ns per step, best of 5).
@@ -78,12 +85,16 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use mtat_core::config::SimConfig;
+use mtat_core::policy::mtat::{MtatConfig, MtatPolicy};
 use mtat_core::policy::{WorkloadClass, WorkloadObs};
 use mtat_core::ppe::placement::{self, PlacementScratch};
 use mtat_core::ppe::HOTNESS_HYSTERESIS;
 use mtat_core::ppm::profiler::profile_all;
+use mtat_core::runner::Experiment;
 use mtat_core::tracker::HotnessTracker;
 use mtat_nn::linear::Linear;
+use mtat_obs::Obs;
 use mtat_rl::replay::Transition;
 use mtat_rl::sac::{Sac, SacConfig};
 use mtat_tiermem::histogram::{AccessHistogram, NUM_BINS};
@@ -93,6 +104,8 @@ use mtat_tiermem::page::{PageId, PageRegion, Tier, WorkloadId};
 use mtat_tiermem::sampler::{AccessSampler, TouchedSet, WeightTable};
 use mtat_tiermem::{GIB, KIB, MIB};
 use mtat_workloads::be::BeSpec;
+use mtat_workloads::lc::LcSpec;
+use mtat_workloads::load::LoadPattern;
 
 /// Minimum wall time per measurement; repeats until exceeded so quick
 /// primitives still get a stable rate.
@@ -556,6 +569,38 @@ fn bench_be_profile(page_size: u64) -> f64 {
     }) * 1e3
 }
 
+/// SAC pretraining steps of the MTAT set-up row, as the benchmark's
+/// MTAT workloads use.
+const SETUP_PRETRAIN_STEPS: usize = 3_000;
+
+/// `MtatPolicy::new` plus a zero-tick `Experiment::try_run` on the
+/// paper's co-location at paper scale, in ms. The first, untimed call
+/// pretrains the agent into the process-wide cache, so the timed calls
+/// clone it as every later policy built in the process does.
+fn bench_mtat_setup() -> f64 {
+    let exp = Experiment::new(
+        SimConfig::paper(),
+        LcSpec::redis(),
+        LoadPattern::Constant(0.5),
+        BeSpec::all_paper_workloads(),
+    )
+    .with_duration(0.0)
+    .with_obs(Obs::disabled());
+    let cfg = MtatConfig {
+        pretrain_steps: SETUP_PRETRAIN_STEPS,
+        ..MtatConfig::full()
+    };
+    let setup = || {
+        let mut policy = MtatPolicy::new(cfg.clone(), &exp.cfg, &exp.lc, &exp.bes);
+        black_box(
+            exp.try_run(&mut policy)
+                .expect("the paper co-location fits"),
+        );
+    };
+    setup();
+    secs_per_call(setup) * 1e3
+}
+
 /// Slots of the yardstick's chase buffer: 8 MiB of `u32` links, larger
 /// than any L2.
 const YARDSTICK_SLOTS: usize = 1 << 21;
@@ -683,12 +728,15 @@ fn main() {
     let profile_2mib = bench_be_profile(2 * MIB);
     let profile_128kib = bench_be_profile(128 * KIB);
     eprintln!("#   2 MiB pages {profile_2mib:.2} ms, 128 KiB pages {profile_128kib:.2} ms");
+    eprintln!("# microbench: MTAT set-up (policy and zero-tick run, paper scale)...");
+    let mtat_setup_ms = bench_mtat_setup();
+    eprintln!("#   {mtat_setup_ms:.2} ms");
     eprintln!("# microbench: yardstick (pointer chase + integer arithmetic)...");
     let yardstick_ns = bench_yardstick();
     eprintln!("#   {yardstick_ns:.2} ns/step");
 
     let json = format!(
-        "{{\n  \"schema\": 10,\n  \
+        "{{\n  \"schema\": 11,\n  \
          \"migrate_batch_pages_per_sec\": {migrate:.0},\n  \
          \"rebin_ops_per_sec\": {rebin:.0},\n  \
          \"hottest_scan_per_sec\": {scans:.0},\n  \
@@ -713,6 +761,7 @@ fn main() {
          \"compete_us\": {compete_us:.1},\n  \
          \"be_profile_ms_2mib\": {profile_2mib:.3},\n  \
          \"be_profile_ms_128kib\": {profile_128kib:.3},\n  \
+         \"mtat_setup_ms\": {mtat_setup_ms:.3},\n  \
          \"yardstick_ns_per_step\": {yardstick_ns:.3}\n}}\n"
     );
     print!("{json}");

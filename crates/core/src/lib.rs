@@ -62,6 +62,6 @@ pub use policy::mtat::{MtatConfig, MtatPolicy, MtatVariant};
 pub use policy::statics::StaticPolicy;
 pub use policy::tpp::TppPolicy;
 pub use policy::Policy;
-pub use runner::{CheckpointCfg, Experiment, MaxLoadSearch};
+pub use runner::{BeInputs, CheckpointCfg, Experiment, MaxLoadSearch};
 pub use stats::RunResult;
 pub use supervisor::{DegradationState, Supervisor};

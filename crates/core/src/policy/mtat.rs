@@ -38,7 +38,7 @@ use crate::ppm::annealing::AnnealingConfig;
 use crate::ppm::be::BePartitioner;
 use crate::ppm::controller::{ControllerConfig, ProportionalController};
 use crate::ppm::lc::{LcObservation, LcPartitioner, LcPartitionerConfig};
-use crate::ppm::profiler::profile_all;
+use crate::ppm::profiler::BeProfile;
 use crate::ppm::{LcSizer, PartitionPlan, PartitionPolicyMaker};
 use crate::supervisor::{DegradationState, Supervisor};
 
@@ -170,6 +170,8 @@ pub struct MtatPolicy {
     // Construction parameters retained for cold restarts (rebuilding a
     // fresh sizer when no usable checkpoint exists).
     lc_spec: LcSpec,
+    /// The BEs [`Policy::init`] profiles for MTAT (Full).
+    be_specs: Vec<BeSpec>,
     fmem_total: u64,
     max_step_bytes: f64,
     /// Telemetry handle ([`Policy::set_obs`]); disabled (inert) by
@@ -250,9 +252,9 @@ fn cached_agent(key: &str, train: impl FnOnce() -> Sac) -> Sac {
 
 impl MtatPolicy {
     /// Builds an MTAT policy for an experiment co-locating `lc_spec`
-    /// with `be_specs` under `sim`. Pretraining (or cache lookup) and BE
-    /// profiling happen here, before the run starts — both are offline
-    /// activities in the paper's prototype.
+    /// with `be_specs` under `sim`. Pretraining (or cache lookup) happens
+    /// here and BE profiling at [`Policy::init`], both before the run
+    /// starts — both are offline activities in the paper's prototype.
     pub fn new(cfg: MtatConfig, sim: &SimConfig, lc_spec: &LcSpec, be_specs: &[BeSpec]) -> Self {
         let fmem_total = sim.mem.fmem_bytes();
         let max_step_bytes = sim.migration_bw * sim.interval_secs / 2.0;
@@ -286,9 +288,10 @@ impl MtatPolicy {
             )))
         };
 
+        // Profiled at init, from the weights the runner registers.
         let be = match cfg.variant {
             MtatVariant::Full => Some(BePartitioner::new(
-                profile_all(be_specs, fmem_total, sim.mem.page_size()),
+                Vec::new(),
                 AnnealingConfig::default(),
                 cfg.seed ^ 0xBE,
             )),
@@ -346,6 +349,7 @@ impl MtatPolicy {
             hardening,
             ppm_down: false,
             lc_spec: lc_spec.clone(),
+            be_specs: be_specs.to_vec(),
             fmem_total,
             max_step_bytes,
             obs: Obs::disabled(),
@@ -466,6 +470,30 @@ impl MtatPolicy {
         }
     }
 
+    /// Each BE's offline profile (§4). The `i`-th BE workload's weights
+    /// in the page table, when they have the length `be_specs[i]`
+    /// profiles at, are the set-up popularity the runner registered for
+    /// it, so [`BeProfile::from_weights`] gives [`BeProfile::measure`]'s
+    /// profile to the bit without building the popularity again. Any
+    /// other BE (a hand-built memory registers no weights) is measured
+    /// from its spec.
+    fn be_profiles(&self, mem: &TieredMemory, workloads: &[WorkloadObs]) -> Vec<BeProfile> {
+        let mut be_ids = workloads.iter().filter(|w| !w.is_lc()).map(|w| w.id);
+        let (fmem, page) = (self.fmem_total, self.page_size);
+        self.be_specs
+            .iter()
+            .map(|spec| {
+                let registered = be_ids.next().and_then(|id| mem.popularity_weights(id));
+                match registered {
+                    Some(w) if w.len() == spec.n_pages(page) => {
+                        BeProfile::from_weights(spec, w, fmem, page)
+                    }
+                    _ => BeProfile::measure(spec, fmem, page),
+                }
+            })
+            .collect()
+    }
+
     fn reset_accumulators(&mut self) {
         self.acc_violated = false;
         self.acc_worst_p99 = 0.0;
@@ -478,11 +506,6 @@ impl MtatPolicy {
     /// The supervisor's transition log (empty when unsupervised).
     pub fn supervisor_transitions(&self) -> &[crate::supervisor::Transition] {
         self.supervisor.as_ref().map_or(&[], |s| s.transitions())
-    }
-
-    /// True while the PP-M daemon is crashed (enforce-only operation).
-    pub fn controller_down(&self) -> bool {
-        self.ppm_down
     }
 
     /// Serializes the full PP-M control state — the sizer (including
@@ -623,6 +646,10 @@ impl Policy for MtatPolicy {
         self.ppe = Some(ppe);
         // Align the sizer's starting target with the initial placement.
         self.ppm.set_lc_target_bytes(mem.fmem_bytes_of(lc.id));
+        if self.cfg.variant == MtatVariant::Full {
+            let profiles = self.be_profiles(mem, workloads);
+            self.ppm.set_be_profiles(profiles);
+        }
         self.reset_accumulators();
     }
 
@@ -1080,6 +1107,131 @@ mod tests {
                 "changing {what} pretrains the same agent"
             );
         }
+    }
+
+    /// The bits of each profile's throughput steps and `Perf_full`.
+    fn profile_bits(profiles: &[BeProfile]) -> Vec<(Vec<u64>, u64)> {
+        let bits = |p: &BeProfile| p.throughput.iter().map(|x| x.to_bits()).collect();
+        profiles
+            .iter()
+            .map(|p| (bits(p), p.perf_full.to_bits()))
+            .collect()
+    }
+
+    /// MTAT (Full) with the heuristic sizer, for profiling tests.
+    fn heuristic_full(sim: &SimConfig, lc: &LcSpec, bes: &[BeSpec]) -> MtatPolicy {
+        MtatPolicy::new(MtatConfig::full().with_heuristic_sizer(), sim, lc, bes)
+    }
+
+    /// `init` profiles each BE from the weights the runner registered
+    /// with the page table, and the result is `profile_all`'s bit for
+    /// bit: the paper's four BEs at 2 MiB and 128 KiB pages, and
+    /// `heal_storm`'s 2 GiB SSSP at 1 MiB, each at 32 GiB and 1 GiB of
+    /// FMem, through a zero-tick run. Two 2 GiB BEs of different skew
+    /// have weights of one length, so a BE profiled from the other's
+    /// weights fails there.
+    #[test]
+    fn init_profiles_from_registered_weights_bit_for_bit() {
+        use crate::ppm::profiler::profile_all;
+        use crate::runner::Experiment;
+        use mtat_tiermem::memory::MemorySpec;
+        use mtat_tiermem::{GIB, KIB, MIB};
+        use mtat_workloads::load::LoadPattern;
+        let two_gib = |spec: BeSpec| BeSpec {
+            rss_bytes: 2 * GIB,
+            ..spec
+        };
+        let heal_sssp = two_gib(BeSpec::sssp());
+        let paper = BeSpec::all_paper_workloads();
+        let cases = [
+            (&paper, 2 * MIB),
+            (&paper, 128 * KIB),
+            (&vec![heal_sssp.clone()], MIB),
+            (&vec![heal_sssp, two_gib(BeSpec::pagerank())], MIB),
+        ];
+        for (bes, page) in cases {
+            for fmem in [32 * GIB, GIB] {
+                let sim = SimConfig {
+                    mem: MemorySpec::new(fmem, 256 * GIB, page).expect("valid spec"),
+                    ..SimConfig::small_test()
+                };
+                let lc = LcSpec {
+                    rss_bytes: GIB,
+                    ..LcSpec::redis()
+                };
+                let exp = Experiment::new(sim, lc, LoadPattern::Constant(0.5), bes.clone())
+                    .with_duration(0.0);
+                let mut policy = heuristic_full(&exp.cfg, &exp.lc, &exp.bes);
+                exp.try_run(&mut policy).expect("zero-tick run");
+                let want = profile_all(bes, fmem, page);
+                assert_eq!(
+                    profile_bits(policy.ppm.be_profiles()),
+                    profile_bits(&want),
+                    "{} BEs, page {page}, fmem {fmem}",
+                    bes.len()
+                );
+            }
+        }
+    }
+
+    /// On a memory with no weights of the expected length registered —
+    /// none at all, or a region at another page size than the policy's
+    /// — `init` profiles from the spec; weights of that length are what
+    /// it profiles, whatever their shape.
+    #[test]
+    fn init_profiles_from_the_spec_without_matching_weights() {
+        use crate::ppm::profiler::profile_all;
+        use mtat_tiermem::memory::MemorySpec;
+        use mtat_tiermem::MIB;
+        let sim = SimConfig::small_test();
+        let (lc_spec, be_spec) = (small_lc(), small_be());
+        let bes = std::slice::from_ref(&be_spec);
+        let (fmem, page) = (sim.mem.fmem_bytes(), sim.mem.page_size());
+        let from_spec = profile_all(bes, fmem, page);
+        let profiled = |mem: &TieredMemory, lc, be| {
+            let mut policy = heuristic_full(&sim, &lc_spec, bes);
+            let init = [
+                obs(mem, lc, WorkloadClass::Lc, Vec::new(), false, 0.0),
+                obs(mem, be, WorkloadClass::Be, Vec::new(), false, 0.0),
+            ];
+            policy.init(mem, &init);
+            policy.ppm.be_profiles().to_vec()
+        };
+        let build = |spec: MemorySpec| {
+            let mut mem = TieredMemory::new(spec);
+            let lc = mem
+                .register_workload(lc_spec.rss_bytes, InitialPlacement::FmemFirst)
+                .unwrap();
+            let be = mem
+                .register_workload(be_spec.rss_bytes, InitialPlacement::AllSmem)
+                .unwrap();
+            (mem, lc, be)
+        };
+
+        let (mut mem, lc, be) = build(sim.mem);
+        assert_eq!(
+            profile_bits(&profiled(&mem, lc, be)),
+            profile_bits(&from_spec)
+        );
+        let n = mem.region(be).len();
+        let uniform = vec![1.0 / n as f64; n];
+        mem.register_popularity(be, &uniform).unwrap();
+        let want = BeProfile::from_weights(&be_spec, &uniform, fmem, page);
+        let got = profiled(&mem, lc, be);
+        assert_eq!(profile_bits(&got), profile_bits(&[want]));
+        assert_ne!(profile_bits(&got), profile_bits(&from_spec));
+
+        // The same BE at 2 MiB pages registers half as many weights as
+        // the policy's 1 MiB pages profile.
+        let coarse = MemorySpec::new(fmem, sim.mem.smem_bytes(), 2 * MIB).unwrap();
+        let (mut mem, lc, be) = build(coarse);
+        let n = mem.region(be).len();
+        mem.register_popularity(be, &vec![1.0 / n as f64; n])
+            .unwrap();
+        assert_eq!(
+            profile_bits(&profiled(&mem, lc, be)),
+            profile_bits(&from_spec)
+        );
     }
 
     /// Heuristic-sizer MTAT on a miniature system: a violated interval

@@ -44,6 +44,10 @@ pub struct TppPolicy {
     tick_index: u64,
     /// Sorts each candidate list as far as the tick reads it.
     sort: PrefixSort,
+    /// Per-tick scratch, reused across ticks: the promotion candidates
+    /// and the FMem pages' LRU keys, as `(key, page)`.
+    candidates: Vec<(u64, PageId)>,
+    lru: Vec<(u64, PageId)>,
 }
 
 impl TppPolicy {
@@ -74,7 +78,8 @@ impl Policy for TppPolicy {
         // Record touches and collect promotion candidates: pages touched
         // while in SMem this tick (hotter candidates first so the budget
         // goes to the most active pages, as fault frequency would).
-        let mut candidates: Vec<(u64, PageId)> = Vec::new();
+        let candidates = &mut self.candidates;
+        candidates.clear();
         for obs in sim.workloads {
             let region = sim.mem.region(obs.id);
             for (rank, &est) in obs.sampled.iter().enumerate() {
@@ -89,7 +94,7 @@ impl Policy for TppPolicy {
             }
         }
         self.sort
-            .sort_prefix(&mut candidates, Order::Descending, PROMOTIONS_PER_TICK);
+            .sort_prefix(candidates, Order::Descending, PROMOTIONS_PER_TICK);
         candidates.truncate(PROMOTIONS_PER_TICK);
 
         if candidates.is_empty() {
@@ -105,16 +110,15 @@ impl Policy for TppPolicy {
         if free < wanted {
             let need = wanted - free;
             // Gather (last_access, page) for all FMem-resident pages.
-            let mut lru: Vec<(u64, PageId)> = Vec::new();
+            let (lru, last_access) = (&mut self.lru, &self.last_access);
+            lru.clear();
             for w in 0..sim.mem.workload_count() {
-                let id = WorkloadId(w as u16);
-                for p in sim.mem.pages_in_tier(id, Tier::FMem).collect::<Vec<_>>() {
-                    lru.push((self.last_access[p.index()], p));
-                }
+                let fmem = sim.mem.pages_in_tier(WorkloadId(w as u16), Tier::FMem);
+                lru.extend(fmem.map(|p| (last_access[p.index()], p)));
             }
             let take = (need as usize).min(lru.len());
             let granted = sim.migration.try_consume_pages(take as u64) as usize;
-            self.sort.sort_prefix(&mut lru, Order::Ascending, granted);
+            self.sort.sort_prefix(lru, Order::Ascending, granted);
             for &(_, p) in &lru[..granted] {
                 // Skip pages that cannot move right now (e.g. a full
                 // slow tier) instead of panicking; the watermark check

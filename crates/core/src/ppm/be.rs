@@ -68,6 +68,11 @@ impl BePartitioner {
         &self.profiles
     }
 
+    /// Replaces the profiles, keeping the annealing state.
+    pub fn set_profiles(&mut self, profiles: Vec<BeProfile>) {
+        self.profiles = profiles;
+    }
+
     /// Serializes the mutable partitioner state. Only the annealing
     /// seed mutates at runtime (it advances per [`Self::partition`]
     /// call); the profiles and SA configuration are offline artifacts

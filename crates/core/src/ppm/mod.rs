@@ -18,6 +18,7 @@ pub mod profiler;
 use crate::ppm::be::BePartitioner;
 use crate::ppm::controller::ProportionalController;
 use crate::ppm::lc::{LcObservation, LcPartitioner};
+use crate::ppm::profiler::BeProfile;
 use crate::supervisor::DegradationState;
 use mtat_obs::Obs;
 
@@ -269,6 +270,20 @@ impl PartitionPolicyMaker {
     /// search).
     pub fn last_anneal(&self) -> Option<crate::ppm::be::AnnealStats> {
         self.be.as_ref().and_then(BePartitioner::last_anneal)
+    }
+
+    /// Installs the BE partitioner's offline profiles (none for the
+    /// LC-only variant, which has no partitioner).
+    pub fn set_be_profiles(&mut self, profiles: Vec<BeProfile>) {
+        if let Some(be) = &mut self.be {
+            be.set_profiles(profiles);
+        }
+    }
+
+    /// The BE partitioner's profiles (empty without a partitioner).
+    #[cfg(test)]
+    pub(crate) fn be_profiles(&self) -> &[BeProfile] {
+        self.be.as_ref().map_or(&[], BePartitioner::profiles)
     }
 
     /// Resets the runtime state for a cold daemon restart (no usable

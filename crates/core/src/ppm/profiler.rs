@@ -27,19 +27,48 @@ impl BeProfile {
     /// Profiles `spec` from 0 GiB up to `total_fmem_bytes` in 1 GiB
     /// steps at `page_size` granularity.
     ///
-    /// Builds the workload's popularity once and reads every step off
-    /// its prefix sums, so the cost is O(pages + GiB steps): one `powf`
-    /// per page, then one lookup per step.
+    /// Builds the workload's popularity (one `powf` per page) and
+    /// profiles its weights with [`Self::from_weights`].
     ///
     /// # Panics
     ///
     /// Panics if `total_fmem_bytes < 1 GiB`.
     pub fn measure(spec: &BeSpec, total_fmem_bytes: u64, page_size: u64) -> Self {
-        let gbs = (total_fmem_bytes / GIB) as usize;
-        assert!(gbs >= 1, "profile needs at least 1 GiB of FMem");
         let pop = spec.popularity(spec.n_pages(page_size));
+        Self::from_weights(spec, pop.weights(), total_fmem_bytes, page_size)
+    }
+
+    /// Profiles `spec` from its normalised per-rank weights, hottest
+    /// first: the step at `g` GiB is the throughput at the sum of the
+    /// hottest `g · GiB / page_size` weights (all of them once that
+    /// exceeds their count). The sums are one pass in rank order from
+    /// `0.0`, as [`Popularity`](mtat_workloads::access::Popularity)
+    /// builds its prefix sums, so over a popularity's weights every
+    /// step is `fraction_top`'s value to the bit. O(pages + GiB steps).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `total_fmem_bytes < 1 GiB`.
+    pub fn from_weights(
+        spec: &BeSpec,
+        weights: &[f64],
+        total_fmem_bytes: u64,
+        page_size: u64,
+    ) -> Self {
+        let gbs = total_fmem_bytes / GIB;
+        assert!(gbs >= 1, "profile needs at least 1 GiB of FMem");
+        // `top` sums the hottest `summed` weights; `k` never decreases.
+        let mut top = 0.0;
+        let mut summed = 0;
         let throughput: Vec<f64> = (0..=gbs)
-            .map(|g| spec.throughput_at_alloc(&pop, g as u64 * GIB, page_size))
+            .map(|g| {
+                let k = ((g * GIB / page_size) as usize).min(weights.len());
+                for &w in &weights[summed..k] {
+                    top += w;
+                }
+                summed = k;
+                spec.throughput(top)
+            })
             .collect();
         let perf_full = *throughput.last().expect("nonempty profile");
         Self {

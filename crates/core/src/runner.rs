@@ -27,8 +27,10 @@
 //! branch; an empty fault plan's [`TickFaults::nominal`] effects change
 //! nothing, so the fault stage always runs.
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::path::PathBuf;
+use std::sync::Arc;
 use std::time::Instant;
 
 use mtat_obs::alert::{AlertRule, AlertState, BurnRateEngine};
@@ -42,12 +44,12 @@ use mtat_snapshot::{seal, CheckpointStore, SnapError};
 use mtat_tiermem::bandwidth::BandwidthModel;
 use mtat_tiermem::error::TierMemError;
 use mtat_tiermem::faults::{FaultInjector, FaultKind, FaultPlan, TickFaults};
-use mtat_tiermem::memory::TieredMemory;
+use mtat_tiermem::memory::{MemorySpec, TieredMemory};
 use mtat_tiermem::migration::MigrationEngine;
 use mtat_tiermem::sampler::{AccessSampler, WeightTable};
 use mtat_tiermem::{audit_enabled, latency, AuditViolation, WorkloadId};
 use mtat_tiermem::{FMEM_LATENCY_NS, SMEM_LATENCY_NS};
-use mtat_workloads::access::RawWeights;
+use mtat_workloads::access::{Popularity, RawWeights};
 use mtat_workloads::be::BeSpec;
 use mtat_workloads::lc::LcSpec;
 use mtat_workloads::load::LoadPattern;
@@ -116,6 +118,66 @@ pub struct Experiment {
     /// bit-identically; the engine observes the run and never feeds
     /// back into the physics.
     pub alerts: Option<Vec<AlertRule>>,
+    /// Each BE's set-up inputs, shared with other experiments on the
+    /// same BEs and memory. `None` (the default) builds them at run
+    /// start; either way the run is the same to the bit.
+    pub be_inputs: Option<Arc<BeInputs>>,
+}
+
+/// Each BE's set-up inputs: its set-up popularity (which the runner
+/// registers with the page table, and MTAT profiles from there), the
+/// sampler's weight table over it, and `Perf_full` (Eq. 3). They depend
+/// only on the BE list and the memory's page size and FMem capacity,
+/// so experiments that agree on those — a fleet's shards — can build
+/// one set and share it ([`Experiment::with_be_inputs`]).
+#[derive(Debug)]
+pub struct BeInputs {
+    bes: Vec<BeSpec>,
+    page_size: u64,
+    fmem_bytes: u64,
+    pops: Vec<Popularity>,
+    tables: Vec<WeightTable>,
+    perf_full: Vec<f64>,
+}
+
+impl BeInputs {
+    /// Builds the inputs of `bes` on a memory of shape `mem`: one
+    /// popularity per BE over [`BeSpec::n_pages`] ranks, hottest first.
+    pub fn new(bes: &[BeSpec], mem: &MemorySpec) -> Self {
+        let (page_size, fmem_bytes) = (mem.page_size(), mem.fmem_bytes());
+        let mut pops = Vec::with_capacity(bes.len());
+        let mut tables = Vec::with_capacity(bes.len());
+        let mut perf_full = Vec::with_capacity(bes.len());
+        for spec in bes {
+            let pop = spec.popularity(spec.n_pages(page_size));
+            perf_full.push(spec.throughput_at_alloc(&pop, fmem_bytes, page_size));
+            tables.push(pop.to_weight_table());
+            pops.push(pop);
+        }
+        Self {
+            bes: bes.to_vec(),
+            page_size,
+            fmem_bytes,
+            pops,
+            tables,
+            perf_full,
+        }
+    }
+
+    /// Whether these inputs were built for `bes` on a memory with
+    /// `mem`'s page size and FMem capacity.
+    fn covers(&self, bes: &[BeSpec], mem: &MemorySpec) -> bool {
+        self.bes == bes && self.page_size == mem.page_size() && self.fmem_bytes == mem.fmem_bytes()
+    }
+
+    /// Registers each BE's popularity with the page table, the `i`-th
+    /// for workload `ids[i]`.
+    fn register(&self, mem: &mut TieredMemory, ids: &[WorkloadId]) -> Result<(), TierMemError> {
+        for (pop, &id) in self.pops.iter().zip(ids) {
+            mem.register_popularity(id, pop.weights())?;
+        }
+        Ok(())
+    }
 }
 
 /// Checkpointing and crash-recovery configuration for a run.
@@ -206,6 +268,7 @@ impl Experiment {
             scenario: None,
             hub: None,
             alerts: None,
+            be_inputs: None,
         }
     }
 
@@ -267,6 +330,15 @@ impl Experiment {
         self
     }
 
+    /// Runs on `inputs` instead of building each BE's set-up inputs (see
+    /// [`Experiment::be_inputs`]). [`Self::try_run`] fails with
+    /// [`TierMemError::InvalidConfig`] unless they were built for this
+    /// experiment's BEs, page size and FMem capacity.
+    pub fn with_be_inputs(mut self, inputs: Arc<BeInputs>) -> Self {
+        self.be_inputs = Some(inputs);
+        self
+    }
+
     /// Runs the experiment under `policy`, panicking on runtime errors.
     ///
     /// # Panics
@@ -293,7 +365,8 @@ impl Experiment {
     /// [`TierMemError::OutOfMemory`] when the configured workloads do
     /// not fit in the configured memory, and
     /// [`TierMemError::InvalidConfig`] for a malformed adversarial
-    /// scenario, a tick length that is not positive and finite, a
+    /// scenario, BE inputs built for other BEs or another memory, a
+    /// tick length that is not positive and finite, a
     /// duration that is not finite and non-negative, a tick count whose
     /// record buffer cannot be reserved, a sampler period that is not a
     /// finite number of at least one, or a migration bandwidth that is
@@ -341,21 +414,32 @@ impl Experiment {
 
         // Set-up popularity distributions, hottest-first by rank (an
         // adversarial scenario re-registers new ones at phase
-        // boundaries). Each BE's `Perf_full` (Eq. 3) is read from its
-        // set-up popularity. The weights are registered with the page
-        // table so each BE's FMem hit ratio is an incrementally maintained
-        // counter (O(1) per migration) instead of an O(pages) rescan per
-        // tick, and the sampler's weight tables are precomputed for
-        // batched draws.
-        let mut be_perf_full = Vec::with_capacity(self.bes.len());
-        let mut be_tables = Vec::with_capacity(self.bes.len());
-        for (spec, &id) in self.bes.iter().zip(&be_ids) {
-            let pop = spec.popularity(mem.region(id).len());
-            let fmem = self.cfg.mem.fmem_bytes();
-            be_perf_full.push(spec.throughput_at_alloc(&pop, fmem, page_size));
-            mem.register_popularity(id, pop.weights())?;
-            be_tables.push(pop.to_weight_table());
-        }
+        // boundaries), from the supplied BE inputs or ones built here.
+        // The weights are registered with the page table so each BE's
+        // FMem hit ratio is an incrementally maintained counter (O(1)
+        // per migration) instead of an O(pages) rescan per tick; the
+        // sampler draws from the inputs' weight tables until a scenario
+        // phase replaces one. Inputs built here drop their popularities
+        // once registered, so a run holds no second copy of the weights.
+        let (be_tables, be_perf_full) = match &self.be_inputs {
+            Some(shared) if shared.covers(&self.bes, &self.cfg.mem) => {
+                shared.register(&mut mem, &be_ids)?;
+                let tables = shared.tables.iter().map(Cow::Borrowed).collect();
+                (tables, shared.perf_full.clone())
+            }
+            Some(_) => {
+                return Err(TierMemError::InvalidConfig {
+                    what: "be_inputs",
+                    detail: "built for other BEs, page size or FMem capacity".to_string(),
+                })
+            }
+            None => {
+                let own = BeInputs::new(&self.bes, &self.cfg.mem);
+                own.register(&mut mem, &be_ids)?;
+                let tables = own.tables.into_iter().map(Cow::Owned).collect();
+                (tables, own.perf_full)
+            }
+        };
         let mut scenario = self
             .scenario
             .as_ref()
@@ -790,7 +874,7 @@ impl Scenario {
         t: &Tick,
         bes: &[BeSpec],
         mem: &mut TieredMemory,
-        tables: &mut [WeightTable],
+        tables: &mut [Cow<'_, WeightTable>],
     ) -> Result<&ScenarioPhase, TierMemError> {
         let ph = self.schedule.phase_at(t.index);
         if ph.id == self.phase {
@@ -809,7 +893,7 @@ impl Scenario {
                     detail: e.to_string(),
                 })?;
             mem.register_popularity(*id, pop.weights())?;
-            tables[bi] = pop.to_weight_table();
+            tables[bi] = Cow::Owned(pop.to_weight_table());
             *cur = want;
         }
         self.phase = ph.id;
@@ -1010,8 +1094,9 @@ struct Physics<'a> {
     /// not (e.g. FMEM_ALL), the whole PEBS pass is skipped — the physics
     /// never read `sampled`, so outputs are identical.
     sample_pages: bool,
-    /// Each BE's sampler weight table, rebuilt by scenario phases.
-    tables: Vec<WeightTable>,
+    /// Each BE's sampler weight table: the BE inputs' until a scenario
+    /// phase builds its own.
+    tables: Vec<Cow<'a, WeightTable>>,
     /// Last tick's per-tier bandwidth utilization (see
     /// [`Physics::contend`]).
     fmem_util: f64,
@@ -1023,7 +1108,7 @@ struct Physics<'a> {
 }
 
 impl<'a> Physics<'a> {
-    fn new(exp: &'a Experiment, tables: Vec<WeightTable>, sample_pages: bool) -> Self {
+    fn new(exp: &'a Experiment, tables: Vec<Cow<'a, WeightTable>>, sample_pages: bool) -> Self {
         Self {
             exp,
             burst_rng: StdRng::seed_from_u64(exp.cfg.seed ^ 0xB0),
@@ -1907,6 +1992,55 @@ mod tests {
         assert!(r.failed_moves > 0, "half the granted moves should fail");
         let r_clean = experiment(LoadPattern::Constant(0.3)).run(&mut StaticPolicy::smem_all());
         assert_eq!(r_clean.failed_moves, 0);
+    }
+
+    /// Supplied BE inputs run an experiment to the bit of one that
+    /// builds its own; inputs built for another BE list, page size or
+    /// FMem capacity fail `try_run` with an `InvalidConfig`.
+    #[test]
+    fn be_inputs_must_cover_the_experiments_bes_and_memory() {
+        use crate::policy::mtat::{MtatConfig, MtatPolicy};
+        let exp = experiment(LoadPattern::Constant(0.5)).with_duration(20.0);
+        let mtat = || {
+            let cfg = MtatConfig::full().with_heuristic_sizer();
+            MtatPolicy::new(cfg, &exp.cfg, &exp.lc, &exp.bes)
+        };
+        let mem = exp.cfg.mem;
+        let shared = Arc::new(BeInputs::new(&exp.bes, &mem));
+        let own = exp.run(&mut mtat());
+        let on_shared = exp.clone().with_be_inputs(shared).run(&mut mtat());
+        assert_eq!(own.digest(), on_shared.digest());
+        let bits = |r: &RunResult| {
+            r.be_perf_full
+                .iter()
+                .map(|x| x.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&own), bits(&on_shared));
+
+        let mut pr = small_be();
+        pr.pattern = BeSpec::pagerank().pattern;
+        let page_2mib = MemorySpec::new(mem.fmem_bytes(), mem.smem_bytes(), 2 * MIB).unwrap();
+        let half_fmem = MemorySpec::new(GIB / 2, mem.smem_bytes(), mem.page_size()).unwrap();
+        for (what, inputs) in [
+            ("other BEs", BeInputs::new(&[pr], &mem)),
+            ("no BEs", BeInputs::new(&[], &mem)),
+            ("other page size", BeInputs::new(&exp.bes, &page_2mib)),
+            ("other FMem", BeInputs::new(&exp.bes, &half_fmem)),
+        ] {
+            let exp = exp.clone().with_be_inputs(Arc::new(inputs));
+            let err = exp.try_run(&mut mtat()).err();
+            assert!(
+                matches!(
+                    err,
+                    Some(TierMemError::InvalidConfig {
+                        what: "be_inputs",
+                        ..
+                    })
+                ),
+                "{what}: {err:?}"
+            );
+        }
     }
 
     /// `be_perf_full` equals each BE's `Perf_full` as a fresh build of

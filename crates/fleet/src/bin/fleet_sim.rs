@@ -18,7 +18,9 @@
 //!   2-simulated-minute day, cheap heuristic policy.
 //! * `--check` asserts the determinism contract and exits non-zero on
 //!   violation: per-shard and aggregate digests bit-identical between
-//!   `--workers 1` and `--workers N`; every shard receives traffic;
+//!   `--workers 1` and `--workers N`, and between shards on the fleet's
+//!   shared BE inputs and a few rebuilt on inputs of their own; every
+//!   shard receives traffic;
 //!   fault confinement — chaos on a targeted subset leaves every
 //!   untargeted shard's digest unchanged (router draining off) — and
 //!   anomaly precision: the MAD detector flags only targeted shards.
@@ -275,10 +277,11 @@ fn default_chaos(n_shards: usize, seed: u64, duration: f64) -> Vec<ShardFaultPla
     }]
 }
 
-/// The `--check` gate: bit-identity across worker counts, universal
-/// traffic delivery, fault confinement on a sub-fleet, anomaly-detector
-/// precision on that same sub-fleet, and — when serving — live-scrape
-/// availability plus serve-on/off bit-identity.
+/// The `--check` gate: bit-identity across worker counts and between
+/// shared and per-shard BE inputs, universal traffic delivery, fault
+/// confinement on a sub-fleet, anomaly-detector precision on that same
+/// sub-fleet, and — when serving — live-scrape availability plus
+/// serve-on/off bit-identity.
 fn run_checks(
     cfg: &FleetConfig,
     fleet: &Fleet,
@@ -308,6 +311,15 @@ fn run_checks(
         );
     }
 
+    eprintln!("# check: shards rebuilt on BE inputs of their own");
+    let n = cfg.n_shards;
+    let mut spread: Vec<usize> = [0, n / 3, 2 * n / 3, n.saturating_sub(1)]
+        .into_iter()
+        .filter(|&i| i < n)
+        .collect();
+    spread.dedup();
+    assert_own_inputs_match(fleet, &result.shards, &spread);
+
     for s in &result.shards {
         assert!(s.lc_requests > 0.0, "shard {} received no traffic", s.shard);
         assert!(s.ticks > 0, "shard {} ran no ticks", s.shard);
@@ -330,9 +342,10 @@ fn run_checks(
     let base = Fleet::plan(base_cfg.clone())
         .expect("base sub-fleet plans")
         .run(workers);
-    let chaos = Fleet::plan(chaos_cfg)
-        .expect("chaos sub-fleet plans")
-        .run(workers);
+    let chaos_fleet = Fleet::plan(chaos_cfg).expect("chaos sub-fleet plans");
+    let chaos = chaos_fleet.run(workers);
+    // A fault-hit shard on inputs of its own, too.
+    assert_own_inputs_match(&chaos_fleet, &chaos.shards, &[targeted.start]);
     let mut diverged = false;
     for (a, b) in base.shards.iter().zip(&chaos.shards) {
         if targeted.contains(&a.shard) {
@@ -394,6 +407,19 @@ fn run_checks(
         );
     }
     eprintln!("# check: all assertions passed");
+}
+
+/// Asserts that each shard in `ids`, rebuilt on BE set-up inputs of its
+/// own, reproduces its digest in `shards` (run on the fleet's shared
+/// inputs).
+fn assert_own_inputs_match(fleet: &Fleet, shards: &[mtat_fleet::ShardOutcome], ids: &[usize]) {
+    for &i in ids {
+        assert_eq!(
+            fleet.run_shard_own_inputs(i).digest,
+            shards[i].digest,
+            "shard {i} digest diverged between shared and its own BE inputs"
+        );
+    }
 }
 
 /// Fleet-level `/status` document. `done`/`total` count shards;

@@ -12,6 +12,12 @@
 //! * its fault plan is the first [`ShardFaultPlane`] whose id range
 //!   contains it (or no faults).
 //!
+//! The one thing shards share is read-only: every shard runs the same
+//! BE on the same memory, so the fleet builds that BE's set-up inputs
+//! ([`BeInputs`]) once, on the first shard that runs, and hands every
+//! shard the same set. A shard on inputs of its own
+//! ([`Fleet::run_shard_own_inputs`]) is bit-identical.
+//!
 //! Because of that purity, [`Fleet::run`] is bit-identical at any
 //! worker count and under any shard execution order — the property the
 //! `fleet_sim --check` gate asserts — and per-shard fault planes are
@@ -26,11 +32,12 @@
 //! BE throughput, and migration totals across the fleet.
 
 use std::ops::Range;
+use std::sync::{Arc, OnceLock};
 
 use mtat_bench::harness::{chunk_for, run_matrix_chunked};
 use mtat_bench::make_policy;
 use mtat_core::config::SimConfig;
-use mtat_core::runner::{CheckpointCfg, Experiment};
+use mtat_core::runner::{BeInputs, CheckpointCfg, Experiment};
 use mtat_core::HealthConfig;
 use mtat_obs::registry::Registry;
 use mtat_obs::Obs;
@@ -228,6 +235,8 @@ impl ShardOutcome {
 pub struct Fleet {
     cfg: FleetConfig,
     routed: Routed,
+    /// The shards' BE set-up inputs, built by the first shard that runs.
+    be_inputs: OnceLock<Arc<BeInputs>>,
 }
 
 impl Fleet {
@@ -260,7 +269,11 @@ impl Fleet {
             }
         }
         let routed = route(&traffic, &caps, &cfg.router);
-        Ok(Fleet { cfg, routed })
+        Ok(Fleet {
+            cfg,
+            routed,
+            be_inputs: OnceLock::new(),
+        })
     }
 
     /// The fleet config this plan was built from.
@@ -275,11 +288,27 @@ impl Fleet {
         &self.routed
     }
 
-    /// Runs one shard to completion. Pure in `(self, shard)`: calling
-    /// this from any thread, in any order, any number of times gives
-    /// the same [`ShardOutcome`].
+    /// Runs one shard to completion, on the fleet's shared BE set-up
+    /// inputs. Pure in `(self, shard)`: calling this from any thread, in
+    /// any order, any number of times gives the same [`ShardOutcome`].
     #[must_use]
     pub fn run_shard(&self, shard: usize) -> ShardOutcome {
+        let inputs = self.be_inputs.get_or_init(|| {
+            let mem = self.cfg.shard_size.sim_config(0).mem;
+            Arc::new(BeInputs::new(&[self.cfg.shard_size.be()], &mem))
+        });
+        self.run_shard_on(shard, Some(Arc::clone(inputs)))
+    }
+
+    /// [`Fleet::run_shard`] with BE set-up inputs built for this shard
+    /// alone: the reference that sharing must match bit for bit, which
+    /// `fleet_sim --check` compares.
+    #[must_use]
+    pub fn run_shard_own_inputs(&self, shard: usize) -> ShardOutcome {
+        self.run_shard_on(shard, None)
+    }
+
+    fn run_shard_on(&self, shard: usize, inputs: Option<Arc<BeInputs>>) -> ShardOutcome {
         let seed = crate::shard_seed(self.cfg.fleet_seed, shard);
         let cfg = self.cfg.shard_size.sim_config(seed);
         let lc = self.cfg.shard_size.lc();
@@ -309,6 +338,9 @@ impl Fleet {
             exp = exp
                 .with_checkpoints(CheckpointCfg::in_memory().with_every(12))
                 .with_health(HealthConfig::self_heal());
+        }
+        if let Some(inputs) = inputs {
+            exp = exp.with_be_inputs(inputs);
         }
 
         let mut policy = make_policy(&self.cfg.policy, &cfg, &lc, &bes);
@@ -475,6 +507,29 @@ mod tests {
         // Worker count is recorded but never part of the digest input.
         assert_eq!(serial.workers, 1);
         assert_eq!(parallel.workers, 4);
+    }
+
+    /// A shard on the fleet's shared BE inputs has the digest of the
+    /// same shard on inputs of its own: under MTAT (Full), which
+    /// profiles from the page table, for shards with no faults, under a
+    /// fault plane, and with the self-healing runtime armed.
+    #[test]
+    fn shared_be_inputs_match_each_shards_own() {
+        let mut cfg = tiny_cfg(6);
+        cfg.policy = "mtat_full_heuristic".into();
+        cfg.faults = vec![ShardFaultPlane {
+            shards: 2..3,
+            plan: FaultPlan::new(9).with(FaultKind::FaultStorm { intensity: 0.6 }, 20.0, 60.0),
+        }];
+        let mut healing = cfg.clone();
+        healing.self_heal = true;
+        for (cfg, ids) in [(cfg, vec![0, 2, 5]), (healing, vec![1, 2])] {
+            let fleet = Fleet::plan(cfg).expect("valid config");
+            for i in ids {
+                let own = fleet.run_shard_own_inputs(i);
+                assert_eq!(fleet.run_shard(i).digest, own.digest, "shard {i}");
+            }
+        }
     }
 
     #[test]

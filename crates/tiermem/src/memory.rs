@@ -446,6 +446,14 @@ impl TieredMemory {
             .map(|m| m.fmem_mass.clamp(0.0, 1.0))
     }
 
+    /// The per-rank access weights last registered for workload `w` via
+    /// [`Self::register_popularity`], exactly as passed, or `None` if
+    /// none were.
+    #[inline]
+    pub fn popularity_weights(&self, w: WorkloadId) -> Option<&[f64]> {
+        self.popularity[w.index()].as_ref().map(|m| &m.weights[..])
+    }
+
     /// Returns the page region of a workload.
     ///
     /// # Panics
@@ -1067,9 +1075,11 @@ mod tests {
             .register_popularity(w, &[0.5, f64::NAN, 0.25, 0.25])
             .is_err());
         assert_eq!(mem.resident_popularity(w), None);
+        assert_eq!(mem.popularity_weights(w), None);
 
         let weights = [0.4, 0.3, 0.2, 0.1];
         mem.register_popularity(w, &weights).unwrap();
+        assert_eq!(mem.popularity_weights(w), Some(&weights[..]));
         // All four pages start in FMem.
         assert!((mem.resident_popularity(w).unwrap() - 1.0).abs() < 1e-12);
         let region = mem.region(w);
@@ -1093,6 +1103,7 @@ mod tests {
         // New weights pick up the *current* placement, not the initial one.
         mem.register_popularity(w, &[0.1, 0.9]).unwrap();
         assert!((mem.resident_popularity(w).unwrap() - 0.9).abs() < 1e-12);
+        assert_eq!(mem.popularity_weights(w), Some(&[0.1, 0.9][..]));
         mem.check_invariants().unwrap();
     }
 
