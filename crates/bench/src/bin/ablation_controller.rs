@@ -9,7 +9,7 @@
 //! Output: TSV rows `sizer  violation_freq  mean_usage`.
 
 use mtat_bench::header;
-use mtat_core::ppm::controller::{ControllerConfig, ProportionalController};
+use mtat_core::ppm::controller::ProportionalController;
 use mtat_core::ppm::lc::{LcObservation, LcPartitioner, LcPartitionerConfig};
 use mtat_tiermem::GIB;
 use mtat_workloads::lc::LcSpec;
@@ -71,18 +71,12 @@ fn main() {
             fmem_total: FMEM,
             max_step_bytes: STEP,
             online_learning: false,
-            explore: false,
         },
         8_000,
         21,
     );
     rl.set_target_bytes(FMEM / 2);
-    let mut ctl = ProportionalController::new(ControllerConfig::new(
-        FMEM,
-        spec.rss_bytes,
-        STEP,
-        spec.slo_secs,
-    ));
+    let mut ctl = ProportionalController::new(FMEM, spec.rss_bytes, STEP, spec.slo_secs);
     ctl.set_target_bytes(FMEM / 2);
 
     header(&["sizer", "violation_freq", "mean_usage"]);

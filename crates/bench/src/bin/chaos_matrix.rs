@@ -28,7 +28,6 @@
 //! JSON document on stdout. `--quick` runs only the adversarial
 //! assertion cells (the PR-gate mode).
 
-use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use mtat_bench::{harness, make_policy};
@@ -40,6 +39,7 @@ use mtat_obs::export::{json_f64, json_opt_f64};
 use mtat_obs::serve::{TelemetryHub, TelemetryServer};
 use mtat_obs::{obs_enabled, trace_enabled, Obs};
 use mtat_tiermem::faults::FaultPlan;
+use mtat_tiermem::TierMemError;
 use mtat_workloads::be::BeSpec;
 use mtat_workloads::lc::LcSpec;
 use mtat_workloads::load::LoadPattern;
@@ -157,35 +157,25 @@ impl MatrixProgress {
     }
 }
 
-/// Extracts a printable message from a caught panic payload.
-fn panic_message(e: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = e.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = e.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
-/// Unwraps per-cell results, reporting every panicked cell by its
-/// (policy, scenario) pair and exiting non-zero if any cell failed —
-/// one poisoned cell must not take down the report of the others or,
-/// worse, deadlock the matrix.
-fn unwrap_cells(labeled: Vec<(String, Result<RunResult, String>)>) -> Vec<RunResult> {
+/// Unwraps per-cell results, reporting every failed cell by its label
+/// and typed error and exiting non-zero if any cell failed: one failed
+/// cell must not take down the report of the others. A cell that
+/// panics instead propagates through [`harness::run_matrix`], which
+/// joins every worker first.
+fn unwrap_cells(labeled: Vec<(String, Result<RunResult, TierMemError>)>) -> Vec<RunResult> {
     let mut runs = Vec::with_capacity(labeled.len());
     let mut failed = 0usize;
     for (label, res) in labeled {
         match res {
             Ok(r) => runs.push(r),
-            Err(msg) => {
+            Err(e) => {
                 failed += 1;
-                eprintln!("# CELL PANICKED: {label}: {msg}");
+                eprintln!("# CELL FAILED: {label}: {e}");
             }
         }
     }
     if failed > 0 {
-        eprintln!("# {failed} cell(s) panicked; aborting");
+        eprintln!("# {failed} cell(s) failed; aborting");
         std::process::exit(1);
     }
     runs
@@ -363,16 +353,15 @@ fn run_adversarial(
         harness::worker_count(cells.len()),
         |_, &(si, ai, pi)| {
             let label = format!("{}/{}/{}", ADV_POLICIES[pi], scs[si].name, ARMS[ai]);
-            let res = panic::catch_unwind(AssertUnwindSafe(|| {
+            let res = {
                 let _cell = tele.span_labeled(0.0, "cell", &label);
                 let mut exp = base.clone().with_scenario(scs[si].clone());
                 if ARMS[ai] == "faulted" {
                     exp = exp.with_fault_plan(adversarial_fault_plan());
                 }
                 let mut p = make_policy(ADV_POLICIES[pi], &cfg, lc, bes);
-                exp.with_obs(tele.clone()).run(p.as_mut())
-            }))
-            .map_err(panic_message);
+                exp.with_obs(tele.clone()).try_run(p.as_mut())
+            };
             progress.cell_done(&label);
             (label, res)
         },
@@ -603,14 +592,13 @@ fn main() {
             harness::worker_count(POLICIES.len()),
             |_, name| {
                 let label = format!("{name}/{scenario}");
-                let res = panic::catch_unwind(AssertUnwindSafe(|| {
+                let res = {
                     let _cell = tele.span_labeled(0.0, "cell", &label);
                     let mut p = make_policy(name, &cfg, &lc, &bes);
                     arm_experiment(&exp, Some(&scenario), name)
                         .with_obs(tele.clone())
-                        .run(p.as_mut())
-                }))
-                .map_err(panic_message);
+                        .try_run(p.as_mut())
+                };
                 progress.cell_done(&label);
                 (label, res)
             },
@@ -645,7 +633,7 @@ fn main() {
         |_, cell| {
             let (scenario, name) = *cell;
             let label = format!("{name}/{}", scenario.map_or("clean", |si| scs[si].0));
-            let res = panic::catch_unwind(AssertUnwindSafe(|| {
+            let res = {
                 let _cell = tele.span_labeled(0.0, "cell", &label);
                 let exp = match scenario {
                     None => base.clone(),
@@ -655,9 +643,8 @@ fn main() {
                     }
                 };
                 let mut p = make_policy(name, &cfg, &lc, &bes);
-                exp.with_obs(tele.clone()).run(p.as_mut())
-            }))
-            .map_err(panic_message);
+                exp.with_obs(tele.clone()).try_run(p.as_mut())
+            };
             progress.cell_done(&label);
             (label, res)
         },
@@ -771,7 +758,7 @@ fn main() {
         harness::worker_count(heal_cells.len()),
         |_, &(si, ai)| {
             let label = format!("{HEAL_POLICY}/{}/{}", heal_scs[si].0, arms[ai].0);
-            let res = panic::catch_unwind(AssertUnwindSafe(|| {
+            let res = {
                 let _cell = tele.span_labeled(0.0, "cell", &label);
                 let exp = base
                     .clone()
@@ -779,9 +766,8 @@ fn main() {
                     .with_checkpoints(CheckpointCfg::in_memory())
                     .with_health(arms[ai].1.clone());
                 let mut p = make_policy(HEAL_POLICY, &cfg, &lc, &bes);
-                exp.with_obs(tele.clone()).run(p.as_mut())
-            }))
-            .map_err(panic_message);
+                exp.with_obs(tele.clone()).try_run(p.as_mut())
+            };
             progress.cell_done(&label);
             (label, res)
         },

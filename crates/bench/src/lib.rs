@@ -18,8 +18,9 @@
 //! | `sec55_overhead` | §5.5 — PP-M/PP-E overhead accounting |
 //! | `chaos_matrix` | robustness: policy × fault-scenario matrix (not in the paper) |
 //!
-//! The Criterion benches in `benches/` cover data-structure micro-costs
-//! and the DESIGN.md ablations.
+//! The `ablation_*` and `ext_*` binaries run the DESIGN.md ablations
+//! and extensions, and `microbench` times the data-plane primitives
+//! (`BENCH_micro.json`).
 
 pub mod harness;
 pub mod trace;

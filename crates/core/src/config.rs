@@ -82,12 +82,6 @@ impl SimConfig {
         self
     }
 
-    /// Returns a copy without load burstiness (deterministic queueing).
-    pub fn without_bursts(mut self) -> Self {
-        self.burst_sigma = 0.0;
-        self
-    }
-
     /// Returns a copy with a bandwidth-starved memory system
     /// ([`BandwidthModel::constrained`]) for the §7 extension studies.
     pub fn with_constrained_bandwidth(mut self) -> Self {
@@ -115,10 +109,8 @@ mod tests {
     }
 
     #[test]
-    fn with_seed_and_without_bursts() {
-        let c = SimConfig::paper().with_seed(9).without_bursts();
-        assert_eq!(c.seed, 9);
-        assert_eq!(c.burst_sigma, 0.0);
+    fn with_seed() {
+        assert_eq!(SimConfig::paper().with_seed(9).seed, 9);
     }
 
     #[test]

@@ -125,7 +125,8 @@ pub struct Hardening {
     /// previous interval, for the across-interval sign-flip signal.
     last_net: Vec<f64>,
     thrash_ewma: f64,
-    quarantined: bool,
+    /// Quarantined intervals remaining; nonzero exactly while the
+    /// thrash guard holds placement churn in quarantine.
     quarantine_left: u32,
     /// Forced-unfrozen probation intervals remaining after a
     /// quarantine (the liveness bound).
@@ -143,7 +144,7 @@ impl Hardening {
     /// guard.
     #[inline]
     pub fn quarantined(&self) -> bool {
-        self.quarantined
+        self.quarantine_left > 0
     }
 
     /// The migration-churn throttle shift PP-E should run at this
@@ -232,14 +233,13 @@ impl Hardening {
             (weighted / total_vol as f64) * vol_scale
         };
 
-        if self.quarantined {
+        if self.quarantine_left > 0 {
             // The quarantine suppresses the very flows the signal
             // measures, so the EWMA holds frozen here — updating it
             // from suppressed readings would always read "calm" and
             // defeat the hysteresis. Liveness is the bound itself.
-            self.quarantine_left = self.quarantine_left.saturating_sub(1);
+            self.quarantine_left -= 1;
             if self.quarantine_left == 0 {
-                self.quarantined = false;
                 // Re-arm at `release`: one calm probation interval
                 // stands the guard down, one thrashy probation
                 // interval climbs straight back over the trigger.
@@ -255,7 +255,6 @@ impl Hardening {
         if self.cooldown_left > 0 {
             self.cooldown_left -= 1;
         } else if self.thrash_ewma > THRASH_TRIGGER {
-            self.quarantined = true;
             self.quarantine_left = QUARANTINE_INTERVALS;
             self.stats.quarantines += 1;
             actions.quarantine_entered = true;

@@ -14,7 +14,7 @@
 //!  Healthy ─────────────► Degraded          │
 //!     ▲  ◄───────────────    │              ▼
 //!     │     clean tick       │         Recovering ──► Healthy
-//!     │                      │              │   (clean window)
+//!     │                      │              │   (fixed window)
 //!     └──────────────────────┘              │
 //!                 budget exhausted          ▼
 //!  Quarantined ◄──────────────────── (any rollback path)
@@ -27,7 +27,8 @@
 //!   Not an incident by itself (the supervisor ladder already handles
 //!   it), but checkpoints taken here are no longer marked known-good.
 //! * **Recovering** — a rollback just completed; the monitor waits a
-//!   clean window before trusting the restored state.
+//!   fixed window of ticks before trusting the restored state. Every
+//!   tick of the window counts, SLO-violating ones included.
 //! * **Quarantined** — the rollback budget is exhausted. Terminal but
 //!   *contained*: the supervisor is latched at its Static rung, poison
 //!   scans stop (the poisoned agent is parked, not consulted), and the
@@ -49,7 +50,7 @@ pub enum HealthState {
     Degraded,
     /// Rollback budget exhausted; parked on the Static fallback.
     Quarantined,
-    /// Post-rollback probation until a clean window elapses.
+    /// Post-rollback probation until a fixed window of ticks elapses.
     Recovering,
 }
 
@@ -131,8 +132,10 @@ const BUDGET_WINDOW_SECS: f64 = 600.0;
 /// hysteresis against rollback storms while the restored state warms
 /// back up.
 const HYSTERESIS_SECS: f64 = 15.0;
-/// Clean ticks required in [`HealthState::Recovering`] before the
-/// monitor returns to [`HealthState::Healthy`].
+/// Ticks spent in [`HealthState::Recovering`] before the monitor
+/// returns to [`HealthState::Healthy`]. Every tick counts down, SLO-
+/// violating ones included: the window is a fixed probation, not a run
+/// of clean ticks.
 const RECOVERING_TICKS: u32 = 10;
 /// Consecutive SLO-violating ticks before Healthy degrades.
 const DEGRADED_SLO_STREAK: u32 = 8;
@@ -511,6 +514,23 @@ mod tests {
         m.observe_tick(7.0, true, 1.0); // 8th consecutive violation
         assert_eq!(m.state(), HealthState::Degraded);
         m.observe_tick(8.0, false, 1.0);
+        assert_eq!(m.state(), HealthState::Healthy);
+    }
+
+    /// The recovery window counts every tick, SLO-violating ones too:
+    /// violations through all of it still end it after exactly
+    /// `RECOVERING_TICKS` ticks.
+    #[test]
+    fn recovery_window_counts_violating_ticks() {
+        let mut m = monitor();
+        let inc = Incident::Poison("sac_actor_params".into());
+        assert_eq!(m.on_incident(100.0, &inc), Directive::Rollback);
+        m.on_rollback_complete(100.0, Some(4));
+        for i in 1..RECOVERING_TICKS {
+            assert!(m.observe_tick(100.0 + f64::from(i), true, 1.0).is_none());
+            assert_eq!(m.state(), HealthState::Recovering, "tick {i}");
+        }
+        m.observe_tick(100.0 + f64::from(RECOVERING_TICKS), true, 1.0);
         assert_eq!(m.state(), HealthState::Healthy);
     }
 

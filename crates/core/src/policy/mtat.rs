@@ -36,7 +36,7 @@ use crate::policy::{Policy, SimState, WorkloadObs};
 use crate::ppe::PartitionPolicyEnforcer;
 use crate::ppm::annealing::AnnealingConfig;
 use crate::ppm::be::BePartitioner;
-use crate::ppm::controller::{ControllerConfig, ProportionalController};
+use crate::ppm::controller::ProportionalController;
 use crate::ppm::lc::{LcObservation, LcPartitioner, LcPartitionerConfig};
 use crate::ppm::profiler::BeProfile;
 use crate::ppm::{LcSizer, PartitionPlan, PartitionPolicyMaker};
@@ -262,7 +262,6 @@ impl MtatPolicy {
             fmem_total,
             max_step_bytes,
             online_learning: cfg.online_learning,
-            explore: false,
         };
 
         let sizer = if cfg.use_rl {
@@ -280,12 +279,12 @@ impl MtatPolicy {
             });
             LcSizer::Rl(LcPartitioner::new(lc_spec.clone(), lc_cfg, agent))
         } else {
-            LcSizer::Heuristic(ProportionalController::new(ControllerConfig::new(
+            LcSizer::Heuristic(ProportionalController::new(
                 fmem_total,
                 lc_spec.rss_bytes,
                 max_step_bytes,
                 lc_spec.slo_secs,
-            )))
+            ))
         };
 
         // Profiled at init, from the weights the runner registers.
@@ -305,12 +304,12 @@ impl MtatPolicy {
             // Degradation ladder: proportional latency-headroom control,
             // then the static LC-priority split (all the FMem the LC
             // resident set can use).
-            let fallback = ProportionalController::new(ControllerConfig::new(
+            let fallback = ProportionalController::new(
                 fmem_total,
                 lc_spec.rss_bytes,
                 max_step_bytes,
                 lc_spec.slo_secs,
-            ));
+            );
             ppm = ppm.with_fallback(fallback, fmem_total.min(lc_spec.rss_bytes));
         }
         let mut name = match (cfg.variant, cfg.use_rl) {
@@ -503,11 +502,6 @@ impl MtatPolicy {
         self.acc_ticks = 0;
     }
 
-    /// The supervisor's transition log (empty when unsupervised).
-    pub fn supervisor_transitions(&self) -> &[crate::supervisor::Transition] {
-        self.supervisor.as_ref().map_or(&[], |s| s.transitions())
-    }
-
     /// Serializes the full PP-M control state — the sizer (including
     /// the SAC agent's networks, optimizers, replay buffer, and RNG),
     /// the BE annealing seed, the SLO guard, the supervisor's ladder
@@ -584,7 +578,6 @@ impl MtatPolicy {
             fmem_total: self.fmem_total,
             max_step_bytes: self.max_step_bytes,
             online_learning: self.cfg.online_learning,
-            explore: false,
         };
         let sizer = if self.cfg.use_rl {
             let mut sac_cfg = SacConfig::paper(3, 1);
@@ -595,12 +588,12 @@ impl MtatPolicy {
                 Sac::new(sac_cfg, self.cfg.seed),
             ))
         } else {
-            LcSizer::Heuristic(ProportionalController::new(ControllerConfig::new(
+            LcSizer::Heuristic(ProportionalController::new(
                 self.fmem_total,
                 self.lc_spec.rss_bytes,
                 self.max_step_bytes,
                 self.lc_spec.slo_secs,
-            )))
+            ))
         };
         self.ppm.cold_restart(sizer, self.cfg.seed ^ 0xBE);
         if let Some(sup) = &mut self.supervisor {
@@ -957,19 +950,15 @@ impl Policy for MtatPolicy {
 
         // Placement freeze composes two causes: the §7 bandwidth
         // extension and the thrash guard's quarantine. Either alone
-        // freezes; the setter only runs when at least one knob is
-        // configured so the plain paper configuration is untouched.
+        // freezes; on the plain paper configuration, with neither
+        // configured, PP-E stays unfrozen at the nominal rate.
         let bw_frozen = self
             .cfg
             .bandwidth_freeze_util
             .is_some_and(|t| sim.fmem_bw_util > t);
-        let quarantined = self.hardening.as_ref().is_some_and(Hardening::quarantined);
-        if self.cfg.bandwidth_freeze_util.is_some() || self.hardening.is_some() {
-            ppe.set_placement_frozen(bw_frozen || quarantined);
-        }
-        if let Some(h) = &self.hardening {
-            ppe.set_migration_throttle(h.throttle_shift());
-        }
+        let hardening = self.hardening.as_ref();
+        ppe.set_placement_frozen(bw_frozen || hardening.is_some_and(Hardening::quarantined));
+        ppe.set_migration_throttle(hardening.map_or(0, Hardening::throttle_shift));
         {
             let _enforce = self.obs.span(sim.now_secs, "ppe-enforce");
             ppe.tick(sim.mem, sim.migration);
@@ -1054,7 +1043,6 @@ mod tests {
                 fmem_total: sim.mem.fmem_bytes(),
                 max_step_bytes: sim.migration_bw * sim.interval_secs / 2.0,
                 online_learning: true,
-                explore: false,
             };
             let want = bytes(LcPartitioner::pretrained(lc, lc_cfg, STEPS, seed).agent());
             let got = bytes(policy.ppm.sac_agent().expect("RL sizer"));
@@ -1401,7 +1389,6 @@ mod tests {
             Some(DegradationState::Proportional),
             "sustained violations should demote the RL sizer"
         );
-        assert!(!policy.supervisor_transitions().is_empty());
 
         // A healthy window re-promotes.
         drive(&mut policy, &mut mem, &mut engine, 21, 25, false);

@@ -63,23 +63,6 @@ impl AdjustmentSchedule {
         }
     }
 
-    /// Remaining pages to schedule: `max(P_promote, P_demote)`.
-    pub fn remaining_pages(&self) -> u64 {
-        let promote: u64 = self
-            .deltas
-            .iter()
-            .filter(|&&d| d > 0)
-            .map(|&d| d as u64)
-            .sum();
-        let demote: u64 = self
-            .deltas
-            .iter()
-            .filter(|&&d| d < 0)
-            .map(|&d| (-d) as u64)
-            .sum();
-        promote.max(demote)
-    }
-
     /// Returns `true` once every delta has been scheduled.
     pub fn is_complete(&self) -> bool {
         self.deltas.iter().all(|&d| d == 0)
@@ -335,14 +318,8 @@ mod tests {
     }
 
     #[test]
-    fn remaining_pages_is_max_of_directions() {
-        let s = AdjustmentSchedule::new(vec![100, -60, -40], 0, 10);
-        assert_eq!(s.remaining_pages(), 100);
-        let s2 = AdjustmentSchedule::new(vec![10, -60, -40], 0, 10);
-        assert_eq!(s2.remaining_pages(), 100);
-        let s3 = AdjustmentSchedule::new(vec![0, 0, 0], 0, 10);
-        assert_eq!(s3.remaining_pages(), 0);
-        assert!(s3.is_complete());
+    fn zero_deltas_are_complete() {
+        assert!(AdjustmentSchedule::new(vec![0, 0, 0], 0, 10).is_complete());
     }
 
     #[test]

@@ -14,52 +14,35 @@ use serde::{Deserialize, Serialize};
 
 use crate::ppm::lc::LcObservation;
 
-/// Configuration of the proportional controller.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ControllerConfig {
-    /// Total FMem in bytes.
-    pub fmem_total: u64,
-    /// LC resident set size in bytes (allocation ceiling with FMem).
-    pub rss_bytes: u64,
-    /// Maximum |change| per interval in bytes (the Eq. (1) bound).
-    pub max_step_bytes: f64,
-    /// Grow when P99 exceeds this fraction of the SLO.
-    pub grow_threshold: f64,
-    /// Shrink when P99 is below this fraction of the SLO.
-    pub shrink_threshold: f64,
-    /// Shrink step as a fraction of `max_step_bytes`.
-    pub shrink_step: f64,
-    /// The SLO in seconds.
-    pub slo_secs: f64,
-}
-
-impl ControllerConfig {
-    /// Reasonable defaults for the paper-scale system.
-    pub fn new(fmem_total: u64, rss_bytes: u64, max_step_bytes: f64, slo_secs: f64) -> Self {
-        Self {
-            fmem_total,
-            rss_bytes,
-            max_step_bytes,
-            grow_threshold: 0.6,
-            shrink_threshold: 0.2,
-            shrink_step: 0.1,
-            slo_secs,
-        }
-    }
-}
+/// Grow when P99 exceeds this fraction of the SLO.
+const GROW_THRESHOLD: f64 = 0.6;
+/// Shrink when P99 is below this fraction of the SLO.
+const SHRINK_THRESHOLD: f64 = 0.2;
+/// Shrink step as a fraction of the Eq. (1) bound.
+const SHRINK_STEP: f64 = 0.1;
 
 /// Proportional LC allocation controller.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ProportionalController {
-    cfg: ControllerConfig,
+    /// Total FMem in bytes.
+    fmem_total: u64,
+    /// LC resident set size in bytes (allocation ceiling with FMem).
+    rss_bytes: u64,
+    /// Maximum |change| per interval in bytes (the Eq. (1) bound).
+    max_step_bytes: f64,
+    /// The SLO in seconds.
+    slo_secs: f64,
     target_bytes: u64,
 }
 
 impl ProportionalController {
     /// Creates a controller starting from a zero target.
-    pub fn new(cfg: ControllerConfig) -> Self {
+    pub fn new(fmem_total: u64, rss_bytes: u64, max_step_bytes: f64, slo_secs: f64) -> Self {
         Self {
-            cfg,
+            fmem_total,
+            rss_bytes,
+            max_step_bytes,
+            slo_secs,
             target_bytes: 0,
         }
     }
@@ -75,7 +58,7 @@ impl ProportionalController {
     }
 
     fn ceiling(&self) -> u64 {
-        self.cfg.fmem_total.min(self.cfg.rss_bytes)
+        self.fmem_total.min(self.rss_bytes)
     }
 
     /// Serializes the mutable controller state (the target; the config
@@ -98,17 +81,17 @@ impl ProportionalController {
     /// One decision from the interval observation; returns the new
     /// target allocation in bytes.
     pub fn decide(&mut self, obs: &LcObservation) -> u64 {
-        let slo = self.cfg.slo_secs;
+        let slo = self.slo_secs;
         let p99 = obs.p99_secs;
         let step = if obs.violated || !p99.is_finite() {
             // Hard violation: grow at the full Eq. (1) rate.
-            self.cfg.max_step_bytes
-        } else if p99 > self.cfg.grow_threshold * slo {
+            self.max_step_bytes
+        } else if p99 > GROW_THRESHOLD * slo {
             // Proportional response to the headroom deficit.
-            let overshoot = (p99 / slo - self.cfg.grow_threshold) / (1.0 - self.cfg.grow_threshold);
-            overshoot.clamp(0.0, 1.0) * self.cfg.max_step_bytes
-        } else if p99 < self.cfg.shrink_threshold * slo {
-            -self.cfg.shrink_step * self.cfg.max_step_bytes
+            let overshoot = (p99 / slo - GROW_THRESHOLD) / (1.0 - GROW_THRESHOLD);
+            overshoot.clamp(0.0, 1.0) * self.max_step_bytes
+        } else if p99 < SHRINK_THRESHOLD * slo {
+            -SHRINK_STEP * self.max_step_bytes
         } else {
             0.0
         };
@@ -124,12 +107,7 @@ mod tests {
     use mtat_tiermem::GIB;
 
     fn controller() -> ProportionalController {
-        ProportionalController::new(ControllerConfig::new(
-            32 * GIB,
-            34 * GIB,
-            20.0 * GIB as f64,
-            20e-3,
-        ))
+        ProportionalController::new(32 * GIB, 34 * GIB, 20.0 * GIB as f64, 20e-3)
     }
 
     fn obs(p99: f64, violated: bool) -> LcObservation {

@@ -65,10 +65,6 @@ pub struct LcPartitionerConfig {
     pub max_step_bytes: f64,
     /// Keep learning online from live transitions.
     pub online_learning: bool,
-    /// Use stochastic (exploring) actions instead of the deterministic
-    /// policy. Exploration is for training; experiments evaluate the
-    /// deterministic policy.
-    pub explore: bool,
 }
 
 /// The RL-based LC FMem partitioner.
@@ -196,12 +192,9 @@ impl LcPartitioner {
         }
 
         // Select the next action (line 4-5): a ∈ [-1, 1] scaled to
-        // ±max_step_bytes, already respecting the Eq. (1) clip.
-        let action = if self.cfg.explore {
-            self.agent.act(&state)
-        } else {
-            self.agent.act_deterministic(&state)
-        };
+        // ±max_step_bytes, already respecting the Eq. (1) clip. Decisions
+        // take the deterministic policy; exploration is for training.
+        let action = self.agent.act_deterministic(&state);
         let raw = action[0];
         self.last_raw_action = Some(raw);
         // A diverged network (NaN/inf action) must not corrupt the
@@ -231,7 +224,6 @@ mod tests {
             fmem_total: 32 * GIB,
             max_step_bytes: 20.0 * GIB as f64,
             online_learning: false,
-            explore: false,
         }
     }
 

@@ -441,19 +441,13 @@ impl PartitionPolicyMaker {
 mod tests {
     use super::*;
     use crate::ppm::annealing::AnnealingConfig;
-    use crate::ppm::controller::ControllerConfig;
     use crate::ppm::profiler::profile_all;
     use mtat_tiermem::{GIB, MIB};
     use mtat_workloads::be::BeSpec;
 
     fn heuristic_ppm(with_be: bool, guard: Option<f64>) -> PartitionPolicyMaker {
         let fmem = 32 * GIB;
-        let ctl = ProportionalController::new(ControllerConfig::new(
-            fmem,
-            34 * GIB,
-            20.0 * GIB as f64,
-            20e-3,
-        ));
+        let ctl = ProportionalController::new(fmem, 34 * GIB, 20.0 * GIB as f64, 20e-3);
         let be = with_be.then(|| {
             BePartitioner::new(
                 profile_all(&BeSpec::all_paper_workloads(), fmem, 2 * MIB),
@@ -510,12 +504,7 @@ mod tests {
     #[test]
     fn degraded_modes_dispatch_to_fallback_and_static() {
         let fmem = 32 * GIB;
-        let fallback = ProportionalController::new(ControllerConfig::new(
-            fmem,
-            34 * GIB,
-            20.0 * GIB as f64,
-            20e-3,
-        ));
+        let fallback = ProportionalController::new(fmem, 34 * GIB, 20.0 * GIB as f64, 20e-3);
         let mut ppm = heuristic_ppm(false, None).with_fallback(fallback, 30 * GIB);
         ppm.set_lc_target_bytes(8 * GIB);
         assert_eq!(ppm.mode(), DegradationState::Rl);
@@ -540,12 +529,7 @@ mod tests {
     #[test]
     fn guard_floor_applies_in_degraded_mode() {
         let fmem = 32 * GIB;
-        let fallback = ProportionalController::new(ControllerConfig::new(
-            fmem,
-            34 * GIB,
-            20.0 * GIB as f64,
-            20e-3,
-        ));
+        let fallback = ProportionalController::new(fmem, 34 * GIB, 20.0 * GIB as f64, 20e-3);
         let mut ppm = heuristic_ppm(false, Some(0.5)).with_fallback(fallback, 30 * GIB);
         ppm.set_lc_target_bytes(2 * GIB);
         ppm.set_mode(DegradationState::Proportional);

@@ -78,11 +78,6 @@ impl BeProfile {
         }
     }
 
-    /// Highest profiled allocation in GiB.
-    pub fn max_gb(&self) -> u64 {
-        (self.throughput.len() - 1) as u64
-    }
-
     /// Throughput at an allocation of `gb` whole GiB (clamped to the
     /// profiled range).
     pub fn at_gb(&self, gb: u64) -> f64 {
@@ -168,7 +163,6 @@ mod tests {
     fn profile_has_33_points_for_32_gib() {
         let p = profile();
         assert_eq!(p.throughput.len(), 33);
-        assert_eq!(p.max_gb(), 32);
         assert_eq!(p.perf_full, *p.throughput.last().unwrap());
     }
 

@@ -97,12 +97,6 @@ pub struct AnomalyReport {
 }
 
 impl AnomalyReport {
-    /// Whether shard `i` was flagged.
-    #[must_use]
-    pub fn is_flagged(&self, shard: usize) -> bool {
-        self.flagged.iter().any(|a| a.shard == shard)
-    }
-
     /// The highest score in the fleet (0 for an empty fleet).
     #[must_use]
     pub fn max_score(&self) -> f64 {
@@ -244,6 +238,13 @@ mod tests {
         }
     }
 
+    /// The flagged shard ids, ascending.
+    fn flagged(report: &AnomalyReport) -> Vec<usize> {
+        let mut ids: Vec<usize> = report.flagged.iter().map(|a| a.shard).collect();
+        ids.sort();
+        ids
+    }
+
     /// A uniform fleet with one hot shard: only that shard is flagged.
     #[test]
     fn single_outlier_is_flagged() {
@@ -252,8 +253,6 @@ mod tests {
         let report = detect(&shards, &AnomalyConfig::default());
         assert_eq!(report.flagged.len(), 1);
         assert_eq!(report.flagged[0].shard, 7);
-        assert!(report.is_flagged(7));
-        assert!(!report.is_flagged(6));
         assert!(report.max_score() >= 3.5);
     }
 
@@ -280,10 +279,7 @@ mod tests {
         shards[4].failed_moves = 8;
         shards[5].failed_moves = 1; // below materiality: not an incident
         let report = detect(&shards, &AnomalyConfig::default());
-        assert!(report.is_flagged(3));
-        assert!(report.is_flagged(4));
-        assert!(!report.is_flagged(5));
-        assert_eq!(report.flagged.len(), 2);
+        assert_eq!(flagged(&report), [3, 4]);
         // Highest score first; scores stay finite and JSON-safe.
         assert_eq!(report.flagged[0].shard, 3);
         assert!(report.flagged.iter().all(|a| a.score.is_finite()));
@@ -300,12 +296,7 @@ mod tests {
             s.failed_moves = 40;
         }
         let report = detect(&shards, &AnomalyConfig::default());
-        for i in 0..8 {
-            assert!(report.is_flagged(i), "chaotic shard {i} masked");
-        }
-        for i in 8..32 {
-            assert!(!report.is_flagged(i), "clean shard {i} falsely flagged");
-        }
+        assert_eq!(flagged(&report), (0..8).collect::<Vec<_>>());
     }
 
     /// Quiet outliers (unusually *low* violation) are not incidents.
@@ -314,7 +305,7 @@ mod tests {
         let mut shards: Vec<ShardOutcome> = (0..16).map(|i| outcome(i, 0.2, 1 << 20, 0)).collect();
         shards[5].lc_violated_requests = 0.0;
         let report = detect(&shards, &AnomalyConfig::default());
-        assert!(!report.is_flagged(5));
+        assert!(!flagged(&report).contains(&5));
     }
 
     /// The status fragment is valid JSON-shaped text honoring top_k,

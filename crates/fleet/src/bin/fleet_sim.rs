@@ -108,7 +108,6 @@ fn main() {
     cfg.router = RouterCfg {
         policy: routing,
         drain: flag("--drain"),
-        ..RouterCfg::default()
     };
     cfg.self_heal = flag("--self-heal");
     let serve_addr = opt("--serve");

@@ -51,6 +51,13 @@ use mtat_workloads::load::LoadPattern;
 use crate::routing::{route, Routed, RouterCfg};
 use crate::traffic::{TrafficError, TrafficSpec};
 
+/// Hard per-shard level cap (multiple of the shard's reference load).
+/// Demand above the fleet-wide cap is dropped.
+pub const LEVEL_CAP: f64 = 1.6;
+/// Capacity multiplier applied to a draining shard (only when
+/// [`RouterCfg::drain`] is set).
+pub const DRAIN_FRAC: f64 = 0.25;
+
 /// A fault plan targeted at a contiguous range of shard ids. Chaos hits
 /// the subset; the rest of the fleet absorbs routed traffic.
 #[derive(Debug, Clone, PartialEq)]
@@ -253,7 +260,7 @@ impl Fleet {
             .traffic
             .generate(cfg.n_shards, cfg.duration_secs, cfg.epoch_secs)?;
         let epochs = traffic.epochs();
-        let mut caps = vec![vec![cfg.router.level_cap; cfg.n_shards]; epochs];
+        let mut caps = vec![vec![LEVEL_CAP; cfg.n_shards]; epochs];
         if cfg.router.drain {
             for (e, row) in caps.iter_mut().enumerate() {
                 let t = (e as f64 + 0.5) * cfg.epoch_secs;
@@ -261,7 +268,7 @@ impl Fleet {
                     if plane.plan.windows.iter().any(|w| w.active_at(t)) {
                         for i in plane.shards.clone() {
                             if i < cfg.n_shards {
-                                row[i] = cfg.router.level_cap * cfg.router.drain_frac;
+                                row[i] = LEVEL_CAP * DRAIN_FRAC;
                             }
                         }
                     }

@@ -72,26 +72,22 @@ impl RoutingPolicy {
 pub struct RouterCfg {
     /// The assignment policy.
     pub policy: RoutingPolicy,
-    /// Hard per-shard level cap (multiple of the shard's reference
-    /// load). Demand above the fleet-wide cap is dropped.
-    pub level_cap: f64,
-    /// Whether the router drains shards under active fault windows. Off
+    /// Whether the router drains shards under active fault windows (a
+    /// drained shard's capacity is [`DRAIN_FRAC`] of [`LEVEL_CAP`]). Off
     /// by default so fault confinement holds by construction: with no
     /// drain, routing is independent of the fault planes and untargeted
     /// shards replay bit-identically to a fault-free fleet.
+    ///
+    /// [`DRAIN_FRAC`]: crate::fleet::DRAIN_FRAC
+    /// [`LEVEL_CAP`]: crate::fleet::LEVEL_CAP
     pub drain: bool,
-    /// Capacity multiplier applied to a draining shard (only when
-    /// `drain` is set).
-    pub drain_frac: f64,
 }
 
 impl Default for RouterCfg {
     fn default() -> Self {
         Self {
             policy: RoutingPolicy::HotShardAware { hot_mult: 1.25 },
-            level_cap: 1.6,
             drain: false,
-            drain_frac: 0.25,
         }
     }
 }
@@ -234,6 +230,7 @@ pub fn route(traffic: &FleetTraffic, caps: &[Vec<f64>], cfg: &RouterCfg) -> Rout
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fleet::LEVEL_CAP;
     use crate::traffic::{FleetTraffic, TrafficSpec};
     use mtat_workloads::access::AccessPattern;
 
@@ -274,7 +271,7 @@ mod tests {
                 policy,
                 ..RouterCfg::default()
             };
-            let routed = route(&t, &caps_flat(t.epochs(), 16, cfg.level_cap), &cfg);
+            let routed = route(&t, &caps_flat(t.epochs(), 16, LEVEL_CAP), &cfg);
             for e in 0..t.epochs() {
                 let placed: f64 = routed.levels.iter().map(|l| l[e]).sum();
                 let total = t.total_demand(e);
@@ -284,7 +281,7 @@ mod tests {
                     routed.dropped[e]
                 );
                 for l in &routed.levels {
-                    assert!(l[e] <= cfg.level_cap + 1e-12, "{policy:?} breached cap");
+                    assert!(l[e] <= LEVEL_CAP + 1e-12, "{policy:?} breached cap");
                 }
             }
         }
@@ -305,7 +302,7 @@ mod tests {
                 policy,
                 ..RouterCfg::default()
             };
-            route(&t, &caps_flat(t.epochs(), 16, cfg.level_cap), &cfg)
+            route(&t, &caps_flat(t.epochs(), 16, LEVEL_CAP), &cfg)
         };
         let sh = mk(RoutingPolicy::StaticHash);
         let ll = mk(RoutingPolicy::LeastLoaded);
@@ -334,7 +331,7 @@ mod tests {
             policy: RoutingPolicy::HotShardAware { hot_mult },
             ..RouterCfg::default()
         };
-        let routed = route(&t, &caps_flat(t.epochs(), 16, cfg.level_cap), &cfg);
+        let routed = route(&t, &caps_flat(t.epochs(), 16, LEVEL_CAP), &cfg);
         for e in 0..t.epochs() {
             let total = t.total_demand(e);
             let theta = hot_mult * total / 16.0;

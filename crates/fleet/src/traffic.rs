@@ -66,18 +66,19 @@ impl From<PopularityError> for TrafficError {
     }
 }
 
+/// Fleet level at the diurnal trough (fraction of one shard's reference
+/// load).
+const TROUGH: f64 = 0.35;
+/// Added level at the diurnal peak: `level(t) = TROUGH + LIFT ·
+/// sin²(π t / day_secs)`, the soak harness's day curve.
+const LIFT: f64 = 0.4;
+
 /// What the fleet's users ask for, before routing.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrafficSpec {
     /// Diurnal period in simulated seconds. Quick fleets compress a
     /// day into the run so the curve is actually exercised.
     pub day_secs: f64,
-    /// Fleet level at the diurnal trough (fraction of one shard's
-    /// reference load).
-    pub trough: f64,
-    /// Added level at the diurnal peak: `level(t) = trough +
-    /// lift · sin²(π t / day_secs)`, the soak harness's day curve.
-    pub lift: f64,
     /// Base shard-affinity skew. A mild Zipf exponent models realistic
     /// key-hash imbalance: `Zipfian { exponent: 0.15 }` over 1000
     /// shards puts the hottest shard at ~2.8× the coldest, not the
@@ -89,14 +90,12 @@ pub struct TrafficSpec {
 }
 
 impl TrafficSpec {
-    /// The default fleet day: trough 0.35, peak 0.75, mild affinity
-    /// skew, no scenario.
+    /// The default fleet day: trough 0.35 and peak 0.75 (`TROUGH` and
+    /// `TROUGH + LIFT`), mild affinity skew, no scenario.
     #[must_use]
     pub fn diurnal(day_secs: f64) -> Self {
         Self {
             day_secs,
-            trough: 0.35,
-            lift: 0.4,
             pattern: AccessPattern::Zipfian { exponent: 0.15 },
             scenario: None,
         }
@@ -145,7 +144,7 @@ impl TrafficSpec {
     /// # Errors
     ///
     /// [`TrafficError`] for non-positive durations/epochs, a zero-shard
-    /// fleet, non-finite curve parameters, or a malformed scenario.
+    /// fleet, or a malformed scenario.
     pub fn generate(
         &self,
         n_shards: usize,
@@ -163,14 +162,6 @@ impl TrafficSpec {
         ] {
             if !(v.is_finite() && v > 0.0) {
                 return Err(bad(what, format!("must be finite and positive, got {v}")));
-            }
-        }
-        for (what, v) in [("trough", self.trough), ("lift", self.lift)] {
-            if !(v.is_finite() && v >= 0.0) {
-                return Err(bad(
-                    what,
-                    format!("must be finite and non-negative, got {v}"),
-                ));
             }
         }
 
@@ -194,7 +185,7 @@ impl TrafficSpec {
             let t = (e as f64 + 0.5) * epoch_secs;
             let day_frac = (t % self.day_secs) / self.day_secs;
             let s = (std::f64::consts::PI * day_frac).sin();
-            let mut lvl = self.trough + self.lift * s * s;
+            let mut lvl = TROUGH + LIFT * s * s;
 
             let (mult, weights): (f64, &[f64]) = match &schedule {
                 None => (1.0, base_weights.weights()),
@@ -351,7 +342,7 @@ mod tests {
         assert!(spec.generate(4, 0.0, 10.0).is_err());
         assert!(spec.generate(4, 100.0, -1.0).is_err());
         let mut bad = TrafficSpec::diurnal(100.0);
-        bad.trough = f64::NAN;
+        bad.day_secs = f64::NAN;
         assert!(bad.generate(4, 100.0, 10.0).is_err());
     }
 }

@@ -6,6 +6,7 @@
 //! here at test scale (small fleets, the cheap heuristic policy) so a
 //! regression is caught by `cargo test` before the binary gate runs.
 
+use mtat_fleet::fleet::{DRAIN_FRAC, LEVEL_CAP};
 use mtat_fleet::routing::{route, waterfill, RouterCfg, RoutingPolicy};
 use mtat_fleet::{shard_seed, Fleet, FleetConfig, ShardFaultPlane, ShardSize, TrafficSpec};
 use mtat_tiermem::faults::{FaultKind, FaultPlan};
@@ -103,7 +104,7 @@ fn draining_reroutes_deterministically() {
         .cloned()
         .fold(0.0, f64::max);
     assert!(
-        drained_peak <= fleet.config().router.level_cap * fleet.config().router.drain_frac + 1e-12,
+        drained_peak <= LEVEL_CAP * DRAIN_FRAC + 1e-12,
         "drain did not cap the faulted shard: {drained_peak}"
     );
     assert_eq!(fleet.run(1).aggregate_digest, fleet.run(4).aggregate_digest);
@@ -178,13 +179,13 @@ proptest! {
             .generate(n, 120.0, 10.0)
             .expect("valid spec");
         let cfg = RouterCfg { policy, ..RouterCfg::default() };
-        let caps = vec![vec![cfg.level_cap; n]; traffic.epochs()];
+        let caps = vec![vec![LEVEL_CAP; n]; traffic.epochs()];
         let routed = route(&traffic, &caps, &cfg);
         for e in 0..traffic.epochs() {
             let placed: f64 = routed.levels.iter().map(|l| l[e]).sum();
             prop_assert!((placed + routed.dropped[e] - traffic.total_demand(e)).abs() < 1e-9);
             for l in &routed.levels {
-                prop_assert!(l[e] <= cfg.level_cap + 1e-12);
+                prop_assert!(l[e] <= LEVEL_CAP + 1e-12);
             }
         }
     }

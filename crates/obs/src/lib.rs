@@ -379,17 +379,6 @@ impl Obs {
         )
     }
 
-    /// Current gauge value (`None` when disabled or never set).
-    #[must_use]
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.inner
-            .as_ref()?
-            .registry
-            .lock()
-            .expect("obs poisoned")
-            .gauge(name)
-    }
-
     /// Runs `f` against the shared registry (`None` when disabled).
     /// This is the escape hatch for bulk reads — quantile queries,
     /// cross-checks in tests — without cloning the registry.
@@ -568,7 +557,6 @@ mod tests {
         obs.attach_hub(&TelemetryHub::new());
         assert!(obs.hub().is_none());
         assert_eq!(obs.counter_value("c"), None);
-        assert_eq!(obs.gauge_value("g"), None);
         assert_eq!(obs.dump_flight_recorder("x"), None);
         assert_eq!(obs.last_dump(), None);
         assert_eq!(obs.snapshot_json(), None);

@@ -702,16 +702,6 @@ impl CheckpointStore {
         Ok(quarantined)
     }
 
-    /// Loads a specific generation's payload, or `None` when that
-    /// generation is absent or fails envelope verification.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Io`] only when the directory itself cannot be read.
-    pub fn load_generation(&self, gen: u64) -> Result<Option<Vec<u8>>, SnapError> {
-        Ok(self.load_newest(|g| g == gen)?.map(|(_, p)| p))
-    }
-
     /// Loads the newest generation whose envelope verifies, falling back
     /// to older generations past any corrupted one. Returns the payload
     /// and `None` when no valid generation exists.
@@ -733,24 +723,13 @@ impl CheckpointStore {
     ///
     /// [`SnapError::Io`] only when the directory itself cannot be read.
     pub fn load_latest_with_generation(&self) -> Result<Option<(u64, Vec<u8>)>, SnapError> {
-        self.load_newest(|_| true)
-    }
-
-    /// The newest generation `want` accepts whose envelope verifies,
-    /// with its number; unreadable or corrupted ones are skipped.
-    fn load_newest(&self, want: impl Fn(u64) -> bool) -> Result<Option<(u64, Vec<u8>)>, SnapError> {
         let verified = |g: u64, bytes: &[u8]| Some((g, unseal(bytes).ok()?.to_vec()));
         Ok(match &self.backend {
             Backend::Disk(dir) => Self::list_generations(dir)?
                 .into_iter()
                 .rev()
-                .filter(|&(g, _)| want(g))
                 .find_map(|(g, path)| verified(g, &fs::read(path).ok()?)),
-            Backend::Memory(blobs) => blobs
-                .iter()
-                .rev()
-                .filter(|&&(g, _)| want(g))
-                .find_map(|(g, blob)| verified(*g, blob)),
+            Backend::Memory(blobs) => blobs.iter().rev().find_map(|(g, blob)| verified(*g, blob)),
         })
     }
 }
@@ -999,7 +978,6 @@ mod tests {
         let (gen, payload) = store.load_latest_with_generation().unwrap().unwrap();
         assert_eq!(gen, 0);
         assert_eq!(payload, b"gen-0".to_vec());
-        assert_eq!(store.load_generation(1).unwrap(), None);
         // The suspect bytes stay on disk for post-mortem analysis.
         let suspects: Vec<_> = fs::read_dir(&dir)
             .unwrap()
@@ -1012,27 +990,6 @@ mod tests {
         let (gen, payload) = store.load_latest_with_generation().unwrap().unwrap();
         assert_eq!(gen, 3);
         assert_eq!(payload, b"gen-3".to_vec());
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn load_generation_fetches_specific_payloads() {
-        let dir = tmp_dir("loadgen");
-        let disk = CheckpointStore::open(&dir, 10).unwrap();
-        let mem = CheckpointStore::in_memory(10).unwrap();
-        for mut store in [disk, mem] {
-            let first = store.save(b"a").unwrap();
-            assert_eq!(store.save(b"b").unwrap(), first + 1);
-            assert_eq!(store.load_generation(first).unwrap(), Some(b"a".to_vec()));
-            assert_eq!(
-                store.load_generation(first + 1).unwrap(),
-                Some(b"b".to_vec())
-            );
-            assert_eq!(store.load_generation(7).unwrap(), None);
-            store.debug_truncate_next_write(5);
-            let torn = store.save(b"c").unwrap();
-            assert_eq!(store.load_generation(torn).unwrap(), None, "torn");
-        }
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -172,14 +172,6 @@ impl FaultPlan {
         });
         self
     }
-
-    /// The latest instant at which any window is still active.
-    pub fn last_fault_end_secs(&self) -> f64 {
-        self.windows
-            .iter()
-            .map(|w| w.start_secs + w.duration_secs)
-            .fold(0.0, f64::max)
-    }
 }
 
 /// The combined fault effects for one tick.
@@ -238,11 +230,6 @@ impl TickFaults {
             clock_skew_factor: 1.0,
             checkpoint_corrupt: false,
         }
-    }
-
-    /// True when every effect is at its nominal value.
-    pub fn is_nominal(&self) -> bool {
-        *self == TickFaults::nominal()
     }
 }
 
@@ -348,7 +335,7 @@ mod tests {
     fn none_is_empty_and_nominal() {
         let mut inj = FaultInjector::new(FaultPlan::none());
         for t in 0..50 {
-            assert!(inj.begin_tick(t as f64).is_nominal());
+            assert_eq!(inj.begin_tick(t as f64), TickFaults::nominal());
         }
     }
 
@@ -370,7 +357,7 @@ mod tests {
         assert_eq!(t13.migration_fail_prob, 0.5);
 
         let t30 = inj.begin_tick(30.0);
-        assert!(t30.is_nominal());
+        assert_eq!(t30, TickFaults::nominal());
     }
 
     #[test]
@@ -398,7 +385,7 @@ mod tests {
         assert!(inj.begin_tick(14.0).ppm_down);
         let after = inj.begin_tick(15.0);
         assert!(!after.ppm_down);
-        assert!(after.is_nominal());
+        assert_eq!(after, TickFaults::nominal());
     }
 
     #[test]
@@ -422,12 +409,6 @@ mod tests {
     }
 
     #[test]
-    fn last_fault_end() {
-        assert_eq!(plan().last_fault_end_secs(), 22.0);
-        assert_eq!(FaultPlan::none().last_fault_end_secs(), 0.0);
-    }
-
-    #[test]
     fn zero_duration_windows_are_never_active() {
         let w = FaultWindow {
             kind: FaultKind::SamplerBlackout,
@@ -440,7 +421,11 @@ mod tests {
         let mut inj =
             FaultInjector::new(FaultPlan::new(1).with(FaultKind::SamplerBlackout, 10.0, 0.0));
         for tick in 0..30 {
-            assert!(inj.begin_tick(tick as f64).is_nominal(), "tick {tick}");
+            assert_eq!(
+                inj.begin_tick(tick as f64),
+                TickFaults::nominal(),
+                "tick {tick}"
+            );
         }
     }
 
@@ -463,7 +448,7 @@ mod tests {
         let late = inj.begin_tick(9.0);
         assert_eq!(late.accum_drift, 3e-6);
         assert_eq!(late.clock_skew_factor, 5.0);
-        assert!(inj.begin_tick(20.0).is_nominal());
+        assert_eq!(inj.begin_tick(20.0), TickFaults::nominal());
     }
 
     #[test]
@@ -479,7 +464,7 @@ mod tests {
         assert!(!inj.begin_tick(7.0).sac_poison);
         let t = inj.begin_tick(11.0);
         assert!(t.checkpoint_corrupt && !t.sac_poison);
-        assert!(inj.begin_tick(13.0).is_nominal());
+        assert_eq!(inj.begin_tick(13.0), TickFaults::nominal());
     }
 
     #[test]
@@ -500,7 +485,7 @@ mod tests {
         // Storms never delay telemetry (the staleness ring is sized from
         // explicit TelemetryStale windows only).
         assert_eq!(t.telemetry_delay_ticks, 0);
-        assert!(inj.begin_tick(6.0).is_nominal());
+        assert_eq!(inj.begin_tick(6.0), TickFaults::nominal());
 
         let mut worst = FaultInjector::new(FaultPlan::new(9).with(
             FaultKind::FaultStorm { intensity: 1.0 },

@@ -119,22 +119,6 @@ pub fn p99_response(lambda: f64, s: f64, c: usize) -> f64 {
     wait_p99 + P99_FACTOR * s
 }
 
-/// Mean response time of an M/M/c queue; `f64::INFINITY` if unstable.
-pub fn mean_response(lambda: f64, s: f64, c: usize) -> f64 {
-    if lambda <= 0.0 {
-        return s;
-    }
-    if s <= 0.0 || c == 0 {
-        return f64::INFINITY;
-    }
-    let a = lambda * s;
-    if a >= c as f64 {
-        return f64::INFINITY;
-    }
-    let pw = erlang_c(c, a);
-    s + pw * s / (c as f64 - a)
-}
-
 /// Throughput actually achieved when `lambda` req/s are offered to `c`
 /// servers with service time `s`: `min(λ, c/s)`. An overloaded server
 /// completes work at its capacity; the excess queues and times out.
@@ -235,17 +219,6 @@ mod tests {
     fn p99_at_zero_load_is_service_tail() {
         let s = 1e-3;
         assert!((p99_response(0.0, s, 4) - P99_FACTOR * s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mean_response_mm1_closed_form() {
-        // M/M/1: R = s / (1 - rho).
-        let s = 1e-3;
-        let lambda = 500.0; // rho = 0.5
-        let r = mean_response(lambda, s, 1);
-        assert!((r - s / 0.5).abs() < 1e-9, "{r}");
-        assert_eq!(mean_response(2000.0, s, 1), f64::INFINITY);
-        assert_eq!(mean_response(0.0, s, 1), s);
     }
 
     #[test]

@@ -111,12 +111,6 @@ impl MemorySpec {
     pub fn bytes_to_pages(&self, bytes: u64) -> u64 {
         bytes.div_ceil(self.page_size)
     }
-
-    /// Converts a page count to bytes.
-    #[inline]
-    pub fn pages_to_bytes(&self, pages: u64) -> u64 {
-        pages * self.page_size
-    }
 }
 
 /// Where a newly registered workload's pages are initially placed.
@@ -501,19 +495,6 @@ impl TieredMemory {
         } else {
             Tier::SMem
         })
-    }
-
-    /// Returns the workload that owns a page.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TierMemError::UnknownPage`] for an unregistered page id.
-    #[inline]
-    pub fn owner_of(&self, page: PageId) -> Result<WorkloadId, TierMemError> {
-        self.owners
-            .get(page.index())
-            .copied()
-            .ok_or(TierMemError::UnknownPage(page))
     }
 
     /// Infallible tier lookup for pages known to be registered.
@@ -928,7 +909,6 @@ mod tests {
         assert_eq!(s.bytes_to_pages(1), 1);
         assert_eq!(s.bytes_to_pages(MIB), 1);
         assert_eq!(s.bytes_to_pages(MIB + 1), 2);
-        assert_eq!(s.pages_to_bytes(3), 3 * MIB);
     }
 
     #[test]
@@ -1181,17 +1161,10 @@ mod tests {
     }
 
     #[test]
-    fn owner_lookup() {
+    fn tier_lookup_rejects_unknown_pages() {
         let mut mem = TieredMemory::new(small_spec());
-        let a = mem
-            .register_workload(2 * MIB, InitialPlacement::AllSmem)
+        mem.register_workload(2 * MIB, InitialPlacement::AllSmem)
             .unwrap();
-        let b = mem
-            .register_workload(2 * MIB, InitialPlacement::AllSmem)
-            .unwrap();
-        assert_eq!(mem.owner_of(mem.region(a).page(1)).unwrap(), a);
-        assert_eq!(mem.owner_of(mem.region(b).page(0)).unwrap(), b);
-        assert!(mem.owner_of(PageId(999)).is_err());
         assert!(mem.tier_of(PageId(999)).is_err());
     }
 }

@@ -173,25 +173,11 @@ impl MigrationEngine {
         (self.bandwidth_bytes_per_sec * self.interval_secs / 2.0) as u64
     }
 
-    /// Eq. (1) bound in pages.
-    #[inline]
-    pub fn max_exchange_pages_per_interval(&self) -> u64 {
-        self.max_exchange_bytes_per_interval() / self.page_size
-    }
-
     /// The per-time-slice cap `p_max` of Algorithm 3, for a slice of
     /// `slice_secs`: how many pages can physically move in one slice.
     #[inline]
     pub fn p_max(&self, slice_secs: f64) -> u64 {
         ((self.bandwidth_bytes_per_sec * slice_secs) / self.page_size as f64).floor() as u64
-    }
-
-    /// Clamps a desired net FMem change (in bytes, either sign) to the
-    /// Eq. (1) action range `[−M·t/2, +M·t/2]`.
-    #[inline]
-    pub fn clamp_action_bytes(&self, desired_bytes: f64) -> f64 {
-        let bound = self.max_exchange_bytes_per_interval() as f64;
-        desired_bytes.clamp(-bound, bound)
     }
 
     /// Starts a new simulation tick of `tick_secs`; resets the per-tick
@@ -356,16 +342,6 @@ mod tests {
         let e = engine();
         // 4 GiB/s * 60 s / 2 = 120 GiB.
         assert_eq!(e.max_exchange_bytes_per_interval(), 120 * GIB);
-        assert_eq!(e.max_exchange_pages_per_interval(), 120 * GIB / (2 * MIB));
-    }
-
-    #[test]
-    fn clamp_action() {
-        let e = engine();
-        let bound = 120.0 * GIB as f64;
-        assert_eq!(e.clamp_action_bytes(bound * 2.0), bound);
-        assert_eq!(e.clamp_action_bytes(-bound * 2.0), -bound);
-        assert_eq!(e.clamp_action_bytes(1.0), 1.0);
     }
 
     #[test]

@@ -80,12 +80,6 @@ impl Tier {
             Tier::SMem => Tier::FMem,
         }
     }
-
-    /// Returns `true` for the fast tier.
-    #[inline]
-    pub fn is_fast(self) -> bool {
-        matches!(self, Tier::FMem)
-    }
 }
 
 impl fmt::Display for Tier {
@@ -177,8 +171,6 @@ mod tests {
     #[test]
     fn tier_other_roundtrip() {
         assert_eq!(Tier::FMem.other().other(), Tier::FMem);
-        assert!(Tier::FMem.is_fast());
-        assert!(!Tier::SMem.is_fast());
     }
 
     #[test]

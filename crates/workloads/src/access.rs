@@ -206,12 +206,6 @@ impl Popularity {
         self.prefix[k]
     }
 
-    /// Fraction of accesses landing on an arbitrary resident *set*,
-    /// given as an iterator of page ranks.
-    pub fn fraction_of<I: IntoIterator<Item = usize>>(&self, ranks: I) -> f64 {
-        ranks.into_iter().map(|r| self.weights[r]).sum()
-    }
-
     /// Builds the sampler's [`WeightTable`] over these weights, enabling
     /// the batched weighted sampling path
     /// ([`AccessSampler::sample_weighted_estimates_touched`]). Weights
@@ -226,22 +220,6 @@ impl Popularity {
     pub fn to_weight_table(&self) -> mtat_tiermem::sampler::WeightTable {
         mtat_tiermem::sampler::WeightTable::new_unsorted(&self.weights)
             .expect("popularity weights are normalized, finite, and non-negative")
-    }
-
-    /// The smallest number of hottest pages whose combined popularity
-    /// reaches `target` (clamped to [0, 1]). Inverse of
-    /// [`Self::fraction_top`]; used by profiling to ask "how much FMem
-    /// buys hit ratio h".
-    pub fn pages_for_fraction(&self, target: f64) -> usize {
-        let t = target.clamp(0.0, 1.0);
-        // prefix is sorted ascending; binary search for first >= t.
-        match self
-            .prefix
-            .binary_search_by(|p| p.partial_cmp(&t).expect("prefix sums are finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.weights.len()),
-        }
     }
 }
 
@@ -367,28 +345,6 @@ mod tests {
         let lo = Popularity::new(AccessPattern::Zipfian { exponent: 0.3 }, 1000);
         let hi = Popularity::new(AccessPattern::Zipfian { exponent: 1.2 }, 1000);
         assert!(hi.fraction_top(100) > lo.fraction_top(100));
-    }
-
-    #[test]
-    fn fraction_of_arbitrary_set() {
-        let p = Popularity::new(AccessPattern::Uniform, 4);
-        assert!((p.fraction_of([0, 2]) - 0.5).abs() < 1e-12);
-        assert!((p.fraction_of(std::iter::empty()) - 0.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn pages_for_fraction_inverts_fraction_top() {
-        let p = Popularity::new(AccessPattern::Zipfian { exponent: 0.8 }, 500);
-        for target in [0.0, 0.25, 0.5, 0.75, 0.99, 1.0] {
-            let k = p.pages_for_fraction(target);
-            assert!(p.fraction_top(k) >= target - 1e-12);
-            if k > 0 {
-                assert!(p.fraction_top(k - 1) < target + 1e-9);
-            }
-        }
-        // Out-of-range targets clamp.
-        assert_eq!(p.pages_for_fraction(2.0), 500);
-        assert_eq!(p.pages_for_fraction(-1.0), 0);
     }
 
     #[test]

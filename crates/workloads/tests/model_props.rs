@@ -84,19 +84,4 @@ proptest! {
             prop_assert!((u.weight(r) - z.weight(r)).abs() < 1e-12);
         }
     }
-
-    /// `pages_for_fraction` round-trips with `fraction_top`.
-    #[test]
-    fn pages_for_fraction_roundtrip(
-        n in 1usize..400,
-        exponent in 0.0f64..1.4,
-        target in 0.0f64..1.0,
-    ) {
-        let p = Popularity::new(AccessPattern::Zipfian { exponent }, n);
-        let k = p.pages_for_fraction(target);
-        prop_assert!(p.fraction_top(k) >= target - 1e-9);
-        if k > 0 {
-            prop_assert!(p.fraction_top(k - 1) < target + 1e-9);
-        }
-    }
 }
