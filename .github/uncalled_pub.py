@@ -2,17 +2,20 @@
 """List the public functions that nothing calls but their own unit tests.
 
 For every `pub fn` in non-test code under `crates/*/src`, the script looks
-for the function's name as a whole word, anywhere in the text (comments and
-strings included), of
+for the function's name as a whole word in the code, with comments and
+string and char literals blanked, of
 
   * every other `.rs` file under `crates/`, `src/`, `tests/`, `examples/`
     and `benchmark/`, and
   * its own file, outside the definition itself and outside `#[cfg(test)]`
-    items (the unit-test module).
+    items (the unit-test module, and test-only functions, fields and
+    statements: a `#[cfg(test)]` covers the item after it, up to its `;`,
+    the end of its `{..}` body, or, on a field, its `,`).
 
 A function whose name is found nowhere has no caller: only its own file's
-tests read it. The scan is by name, so a function that shares its name with
-anything else in the workspace (`new`, `len`, a field) is never listed.
+tests read it. A doc comment or a metric name that mentions it is not a
+call. The scan is by name, so a function that shares its name with anything
+else in the workspace's code (`new`, `len`, a field) is never listed.
 
 Each listed function must appear in ALLOW below with the reason it is kept;
 the script exits 1 when one does not, and also when an ALLOW entry no longer
@@ -36,6 +39,8 @@ IMPL = re.compile(r"\bimpl\b(?:\s*<[^{;]*?>)?\s+(?:[^{;]*?\bfor\s+)?([A-Za-z_][A
 CFG_TEST = re.compile(r"#\[cfg\(test\)\]")
 IDENT_CHAR = re.compile(r"[A-Za-z0-9_]")
 RAW_STR = re.compile(r'b?r(#*)"')
+# `name:` (not `name::`), after any further attributes and a visibility.
+FIELD = re.compile(r"\s*(?:#\[[^\]]*\]\s*)*(?:pub(?:\([^)]*\))?\s+)?[A-Za-z_][A-Za-z0-9_]*\s*:(?!:)")
 
 
 def strip(src):
@@ -98,17 +103,24 @@ def strip(src):
 
 
 def block_end(code, start):
-    """Index just past the item starting at `start`: its `;` or its `{..}`."""
+    """Index just past the item starting at `start`: its `;` or its `{..}`,
+    or, for a struct field or a field in a struct expression, its `,`. An
+    item also ends where the brackets around it close."""
+    field = FIELD.match(code, start) is not None
     depth = 0
     for k in range(start, len(code)):
         ch = code[k]
-        if ch == "{":
+        if ch in "{([":
             depth += 1
-        elif ch == "}":
+        elif ch in "})]":
             depth -= 1
-            if depth == 0:
+            if depth < 0:
+                return k
+            if depth == 0 and ch == "}":
                 return k + 1
         elif ch == ";" and depth == 0:
+            return k + 1
+        elif ch == "," and depth == 0 and field:
             return k + 1
     return len(code)
 
@@ -128,23 +140,20 @@ def owner(code, pos, impls):
 
 
 def main():
-    texts = {}
+    codes = {}
     for d in CALLER_DIRS:
         for path in (ROOT / d).rglob("*.rs"):
             rel = path.relative_to(ROOT).as_posix()
             if "/target/" not in "/" + rel:
-                texts[rel] = path.read_text(encoding="utf-8")
+                codes[rel] = strip(path.read_text(encoding="utf-8"))
 
-    words = {rel: set(re.findall(r"\w+", text)) for rel, text in texts.items()}
+    words = {rel: set(re.findall(r"\w+", code)) for rel, code in codes.items()}
 
     listed = {}
-    for rel, text in sorted(texts.items()):
+    for rel, code in sorted(codes.items()):
         parts = rel.split("/")
         if parts[0] != "crates" or len(parts) < 4 or parts[2] != "src":
             continue
-        # Definitions, impl blocks and test items are found in the code with
-        # comments and literals blanked; names are looked up in the text.
-        code = strip(text)
         spans = test_spans(code)
         impls = [
             (m.start(), block_end(code, m.start()), m.group(1).split("::")[-1])
@@ -156,7 +165,7 @@ def main():
                 continue
             if any(name in w for other, w in words.items() if other != rel):
                 continue
-            uses = [u.start() for u in re.finditer(r"\b%s\b" % re.escape(name), text)]
+            uses = [u.start() for u in re.finditer(r"\b%s\b" % re.escape(name), code)]
             if any(u != m.start(1) and not any(a <= u < b for a, b in spans) for u in uses):
                 continue
             typ = owner(code, at, impls)

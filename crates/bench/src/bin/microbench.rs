@@ -49,11 +49,11 @@
 //!   `exchange` round trip (µs), one tick of migration-engine budget
 //!   accounting (ns), and a count of the first workload's FMem pages
 //!   over its ~17 K-page residency (µs);
-//! * **compete** — one `placement::compete_with` call, MEMTIS's whole
+//! * **compete** — one `placement::compete` call, MEMTIS's whole
 //!   placement step, on the paper-scale memory: five 16 GiB tenants
 //!   whose FMem pages (40 % of each, at random to begin with) and
 //!   histograms took ten ticks of Zipf-skewed noisy counts, an aging
-//!   every fifth tick and one `compete_with` for each of the first
+//!   every fifth tick and one `compete` for each of the first
 //!   nine, so the order inside each bin depends on that history and
 //!   residency follows hotness; the timed call is the tenth tick's,
 //!   with k = 1024 pairs (µs; each call starts from the same memory
@@ -89,7 +89,6 @@ use mtat_core::config::SimConfig;
 use mtat_core::policy::mtat::{MtatConfig, MtatPolicy};
 use mtat_core::policy::{WorkloadClass, WorkloadObs};
 use mtat_core::ppe::placement::{self, PlacementScratch};
-use mtat_core::ppe::HOTNESS_HYSTERESIS;
 use mtat_core::ppm::profiler::profile_all;
 use mtat_core::runner::Experiment;
 use mtat_core::tracker::HotnessTracker;
@@ -462,7 +461,7 @@ const COMPETE_PAGES: u32 = 8192;
 /// MEMTIS's pair appetite per tick.
 const COMPETE_PAIRS: u64 = 1024;
 
-/// One `compete_with` call over [`COMPETE_TENANTS`] paper-scale
+/// One `compete` call over [`COMPETE_TENANTS`] paper-scale
 /// tenants, in µs (mean over calls from the same starting state).
 fn bench_compete() -> f64 {
     let mut mem = TieredMemory::new(MemorySpec::paper_scale());
@@ -548,7 +547,7 @@ fn compete_once(
     let mut engine = MigrationEngine::new(4.0 * GIB as f64, 2 * MIB, 10.0).unwrap();
     engine.begin_tick(1.0);
     let pool_cap = mem.spec().fmem_pages();
-    placement::compete_with(
+    placement::compete(
         scratch,
         mem,
         &mut engine,
@@ -556,7 +555,6 @@ fn compete_once(
         ids,
         pool_cap,
         COMPETE_PAIRS,
-        HOTNESS_HYSTERESIS,
     )
 }
 

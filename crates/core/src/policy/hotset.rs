@@ -17,7 +17,6 @@ use mtat_tiermem::page::WorkloadId;
 
 use crate::policy::{Policy, SimState, WorkloadObs};
 use crate::ppe::placement;
-use crate::ppe::HOTNESS_HYSTERESIS;
 use crate::tracker::HotnessTracker;
 
 /// A page is "hot" if its (aged) access count is at least this.
@@ -31,6 +30,8 @@ pub struct HotsetPolicy {
     tracker: Option<HotnessTracker>,
     targets: Vec<u64>,
     page_size: u64,
+    /// Candidate buffers reused across ticks.
+    scratch: placement::PlacementScratch,
 }
 
 impl HotsetPolicy {
@@ -107,26 +108,22 @@ impl Policy for HotsetPolicy {
         // Enforce shares: demote over-quota workloads first, then promote
         // under-quota ones, then refine within each share.
         let tracker = self.tracker.as_ref().expect("initialized");
+        let scratch = &mut self.scratch;
         let n = sim.mem.workload_count();
         for i in 0..n {
             let w = WorkloadId(i as u16);
-            if sim.mem.residency(w).fmem_pages > self.targets[i] {
-                placement::enforce_target(sim.mem, sim.migration, tracker, w, self.targets[i]);
+            let target = self.targets[i];
+            if sim.mem.residency(w).fmem_pages > target {
+                placement::enforce_target(scratch, sim.mem, sim.migration, tracker, w, target);
             }
         }
         for i in 0..n {
             let w = WorkloadId(i as u16);
-            if sim.mem.residency(w).fmem_pages < self.targets[i] {
-                placement::enforce_target(sim.mem, sim.migration, tracker, w, self.targets[i]);
+            let target = self.targets[i];
+            if sim.mem.residency(w).fmem_pages < target {
+                placement::enforce_target(scratch, sim.mem, sim.migration, tracker, w, target);
             }
-            placement::refine_swaps(
-                sim.mem,
-                sim.migration,
-                tracker,
-                w,
-                PAIRS_PER_TICK,
-                HOTNESS_HYSTERESIS,
-            );
+            placement::refine_swaps(scratch, sim.mem, sim.migration, tracker, w, PAIRS_PER_TICK);
         }
     }
 }

@@ -80,7 +80,7 @@ impl Policy for MemtisPolicy {
         self.all_ids.clear();
         self.all_ids.extend(sim.workloads.iter().map(|w| w.id));
         let pool_cap = sim.mem.spec().fmem_pages();
-        placement::compete_with(
+        placement::compete(
             &mut self.scratch,
             sim.mem,
             sim.migration,
@@ -88,7 +88,6 @@ impl Policy for MemtisPolicy {
             &self.all_ids,
             pool_cap,
             PAIRS_PER_TICK,
-            crate::ppe::HOTNESS_HYSTERESIS,
         );
     }
 }

@@ -82,8 +82,10 @@ impl WorkloadObs {
 ///
 /// `mem` and `migration` are disjoint fields, so a policy can hold
 /// references to both simultaneously. All migrations must be paid for
-/// through `migration` (`try_consume_pages`) before being applied to
-/// `mem` — the driver resets the per-tick budget before each call.
+/// through `migration` before being applied to `mem`: a slice of page
+/// moves with `try_consume_pages`, a sequence of promotions and
+/// exchanges with `try_consume_moves`, which keeps the per-move fault
+/// cadence. The driver resets the per-tick budget before each call.
 #[derive(Debug)]
 pub struct SimState<'a> {
     /// The page table.

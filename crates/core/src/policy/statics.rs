@@ -15,6 +15,9 @@ use crate::policy::{Policy, SimState, WorkloadClass, WorkloadObs};
 use crate::ppe::placement;
 use crate::tracker::HotnessTracker;
 
+/// SMEM_ALL's BE competition appetite per tick, in page pairs.
+const PAIRS_PER_TICK: u64 = 1024;
+
 /// Which static placement to apply to the LC workload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StaticKind {
@@ -30,7 +33,8 @@ pub struct StaticPolicy {
     kind: StaticKind,
     tracker: Option<HotnessTracker>,
     lc: Option<WorkloadId>,
-    pairs_per_tick: u64,
+    /// Candidate buffers reused across ticks.
+    scratch: placement::PlacementScratch,
 }
 
 impl StaticPolicy {
@@ -40,7 +44,7 @@ impl StaticPolicy {
             kind: StaticKind::FmemAll,
             tracker: None,
             lc: None,
-            pairs_per_tick: 1024,
+            scratch: placement::PlacementScratch::default(),
         }
     }
 
@@ -50,7 +54,7 @@ impl StaticPolicy {
             kind: StaticKind::SmemAll,
             tracker: None,
             lc: None,
-            pairs_per_tick: 1024,
+            scratch: placement::PlacementScratch::default(),
         }
     }
 
@@ -116,6 +120,7 @@ impl Policy for StaticPolicy {
             .filter(|w| !w.is_lc())
             .map(|w| w.id)
             .collect();
+        let scratch = &mut self.scratch;
         match self.kind {
             StaticKind::FmemAll => {
                 // Keep the LC resident set pinned into FMem; drift can
@@ -136,27 +141,25 @@ impl Policy for StaticPolicy {
                             tracker.coldest_fmem_into(&mut pages, sim.mem, b, need as usize);
                             let granted =
                                 sim.migration.try_consume_pages(pages.len() as u64) as usize;
-                            for &p in pages.iter().take(granted) {
-                                let _ = sim.mem.migrate(p, Tier::SMem);
-                            }
+                            sim.mem.migrate_batch(&pages[..granted], Tier::SMem);
                         }
                     }
-                    placement::enforce_target(sim.mem, sim.migration, tracker, lc, target);
+                    placement::enforce_target(scratch, sim.mem, sim.migration, tracker, lc, target);
                 }
                 // BE workloads stay in SMem: nothing else to do.
             }
             StaticKind::SmemAll => {
                 // Evict any LC pages from FMem, then let BE compete.
-                placement::enforce_target(sim.mem, sim.migration, tracker, lc, 0);
+                placement::enforce_target(scratch, sim.mem, sim.migration, tracker, lc, 0);
                 let pool_cap = sim.mem.spec().fmem_pages();
                 placement::compete(
+                    scratch,
                     sim.mem,
                     sim.migration,
                     tracker,
                     &bes,
                     pool_cap,
-                    self.pairs_per_tick,
-                    crate::ppe::HOTNESS_HYSTERESIS,
+                    PAIRS_PER_TICK,
                 );
             }
         }

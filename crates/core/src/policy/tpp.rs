@@ -45,9 +45,11 @@ pub struct TppPolicy {
     /// Sorts each candidate list as far as the tick reads it.
     sort: PrefixSort,
     /// Per-tick scratch, reused across ticks: the promotion candidates
-    /// and the FMem pages' LRU keys, as `(key, page)`.
+    /// and the FMem pages' LRU keys, as `(key, page)`, and the granted
+    /// pages of either list, as one migration batch.
     candidates: Vec<(u64, PageId)>,
     lru: Vec<(u64, PageId)>,
+    batch: Vec<PageId>,
 }
 
 impl TppPolicy {
@@ -119,12 +121,11 @@ impl Policy for TppPolicy {
             let take = (need as usize).min(lru.len());
             let granted = sim.migration.try_consume_pages(take as u64) as usize;
             self.sort.sort_prefix(lru, Order::Ascending, granted);
-            for &(_, p) in &lru[..granted] {
-                // Skip pages that cannot move right now (e.g. a full
-                // slow tier) instead of panicking; the watermark check
-                // simply runs again next tick.
-                let _ = sim.mem.migrate(p, Tier::SMem);
-            }
+            // A full slow tier stops the batch instead of panicking; the
+            // watermark check simply runs again next tick.
+            self.batch.clear();
+            self.batch.extend(lru[..granted].iter().map(|&(_, p)| p));
+            sim.mem.migrate_batch(&self.batch, Tier::SMem);
         }
 
         // Promote candidates into whatever frames are free now.
@@ -134,9 +135,10 @@ impl Policy for TppPolicy {
             .saturating_sub(watermark)
             .min(candidates.len() as u64);
         let granted = sim.migration.try_consume_pages(room) as usize;
-        for &(_, p) in candidates.iter().take(granted) {
-            let _ = sim.mem.migrate(p, Tier::FMem);
-        }
+        self.batch.clear();
+        self.batch
+            .extend(candidates[..granted].iter().map(|&(_, p)| p));
+        sim.mem.migrate_batch(&self.batch, Tier::FMem);
     }
 }
 

@@ -32,11 +32,6 @@ use crate::tracker::HotnessTracker;
 /// competition in the residual pool (MTAT (LC Only)'s BE workloads).
 pub type PartitionTarget = Option<u64>;
 
-/// A promotion must beat the page it displaces by this count factor —
-/// suppresses migration churn caused by sampling noise between pages of
-/// near-equal hotness.
-pub const HOTNESS_HYSTERESIS: f64 = 2.0;
-
 /// Upper bound on outstanding deferred moves — keeps the retry queue
 /// from growing without bound under a persistent fault.
 const MAX_DEFERRED: usize = 64;
@@ -299,7 +294,7 @@ impl PartitionPolicyEnforcer {
                     let w = WorkloadId(i as u16);
                     // Drift correction (e.g. promotions that found no
                     // candidates during adjustment).
-                    placement::enforce_target_with(
+                    placement::enforce_target(
                         &mut self.scratch,
                         mem,
                         engine,
@@ -307,14 +302,13 @@ impl PartitionPolicyEnforcer {
                         w,
                         target,
                     );
-                    placement::refine_swaps_with(
+                    placement::refine_swaps(
                         &mut self.scratch,
                         mem,
                         engine,
                         &self.tracker,
                         w,
                         refine_budget,
-                        HOTNESS_HYSTERESIS,
                     );
                 }
             }
@@ -334,7 +328,7 @@ impl PartitionPolicyEnforcer {
         if !unenforced.is_empty() {
             let reserved: u64 = self.targets_pages.iter().flatten().sum();
             let pool_cap = mem.spec().fmem_pages().saturating_sub(reserved);
-            placement::compete_with(
+            placement::compete(
                 &mut self.scratch,
                 mem,
                 engine,
@@ -342,7 +336,6 @@ impl PartitionPolicyEnforcer {
                 &unenforced,
                 pool_cap,
                 refine_budget * unenforced.len() as u64,
-                HOTNESS_HYSTERESIS,
             );
         }
     }

@@ -28,7 +28,7 @@
 //! stops once no pending frame starts below the requested prefix: then
 //! `v[..k]` holds exactly what the full sort would leave there. The
 //! walks that consume a few hundred of several thousand candidates
-//! (`ppe::placement::compete_with`) pay only for the partitions their
+//! (`ppe::placement::compete`) pay only for the partitions their
 //! prefix crosses.
 //!
 //! The code was transcribed from the Rust standard library's

@@ -491,7 +491,8 @@ pub struct CheckpointStore {
     next_gen: u64,
     /// Test shim: when set, the next save writes only this many bytes of
     /// the sealed blob (a simulated torn device write) and then clears
-    /// itself. See [`CheckpointStore::debug_truncate_next_write`].
+    /// itself. Armed by `debug_truncate_next_write`.
+    #[cfg(test)]
     truncate_next_write: Option<usize>,
 }
 
@@ -537,6 +538,7 @@ impl CheckpointStore {
             backend: Backend::Memory(Vec::new()),
             retain,
             next_gen: 1,
+            #[cfg(test)]
             truncate_next_write: None,
         })
     }
@@ -546,8 +548,8 @@ impl CheckpointStore {
     /// `bytes` bytes of the sealed blob — the torn-write a host crash
     /// between `write` and `fsync` would leave behind. Exists so tests
     /// can prove that a torn latest generation is detected and older
-    /// generations are used instead; never call this outside a test.
-    #[doc(hidden)]
+    /// generations are used instead.
+    #[cfg(test)]
     pub fn debug_truncate_next_write(&mut self, bytes: usize) {
         self.truncate_next_write = Some(bytes);
     }
@@ -617,11 +619,16 @@ impl CheckpointStore {
     /// # Errors
     ///
     /// [`SnapError::Io`] on any filesystem failure.
-    pub fn save_sealed(&mut self, mut written: Vec<u8>) -> Result<u64, SnapError> {
+    pub fn save_sealed(&mut self, written: Vec<u8>) -> Result<u64, SnapError> {
         let gen = self.next_gen;
-        if let Some(limit) = self.truncate_next_write.take() {
-            written.truncate(limit);
-        }
+        #[cfg(test)]
+        let written = {
+            let mut written = written;
+            if let Some(limit) = self.truncate_next_write.take() {
+                written.truncate(limit);
+            }
+            written
+        };
         let dir = match &mut self.backend {
             Backend::Disk(dir) => &*dir,
             Backend::Memory(blobs) => {

@@ -187,7 +187,7 @@ impl AccessHistogram {
     }
 
     /// [`Self::add`] addressed by rank directly, skipping the page-id
-    /// translation. A bin crossing takes [`Self::add_ranks`]' rebin pass
+    /// translation. A bin crossing takes [`Self::record`]'s rebin pass
     /// on a one-rank batch.
     #[inline]
     pub fn add_rank(&mut self, rank: u32, delta: u64) {
@@ -201,23 +201,10 @@ impl AccessHistogram {
         }
     }
 
-    /// [`Self::add_rank`]`(r, sampled[r])` for every `r` of `ranks`, in
-    /// two passes: the first updates every count and total and notes
-    /// which ranks changed bin, the second rebins those in order. The
-    /// result is the one-at-a-time loop's, bit for bit: counts do not
-    /// depend on bins, each rank appears once, and a rank that keeps its
-    /// bin is a no-op for the rebin step — so the second pass performs
-    /// the same swap-removes and pushes in the same order.
-    ///
-    /// `ranks` must be strictly ascending (debug-asserted), as
-    /// [`crate::sampler::TouchedSet::iter_ranks`] and a dense `0..n`
-    /// walk are. `moved` is scratch, grown to `sampled.len()` and never
-    /// shrunk, so one buffer serves every histogram a caller feeds.
-    ///
-    /// The first pass writes every rank to `moved[k]` and advances `k`
-    /// by whether its bin changed, rather than branching on it: at paper
-    /// scale ~37 % of sampled ranks change bin, in no pattern a branch
-    /// predictor can learn.
+    /// [`Self::record`]'s two passes over `ranks`, which must be strictly
+    /// ascending (debug-asserted). Only the tests feed a histogram this
+    /// way, to drive the rebin pass with rank sets of their own.
+    #[cfg(test)]
     pub fn add_ranks<I>(&mut self, ranks: I, sampled: &[u64], moved: &mut Vec<u32>)
     where
         I: IntoIterator<Item = usize>,
@@ -229,9 +216,9 @@ impl AccessHistogram {
         self.rebin_moved(&moved[..k]);
     }
 
-    /// [`Self::add_ranks`]' first pass: updates the counts and total of
-    /// `ranks` and writes those that changed bin, in order, to
-    /// `moved[..k]`; returns `k`.
+    /// [`Self::record`]'s count pass over `ranks`, strictly ascending:
+    /// updates their counts and total and writes those that changed
+    /// bin, in order, to `moved[..k]`; returns `k`.
     #[inline(always)]
     fn update_counts<I>(&mut self, ranks: I, sampled: &[u64], moved: &mut [u32]) -> usize
     where
@@ -240,7 +227,7 @@ impl AccessHistogram {
         let mut k = 0;
         let mut next_min = 0;
         for rank in ranks {
-            debug_assert!(rank >= next_min, "add_ranks needs strictly ascending ranks");
+            debug_assert!(rank >= next_min, "ranks must be strictly ascending");
             next_min = rank + 1;
             k = self.update_count(rank, sampled, moved, k);
         }
@@ -248,7 +235,10 @@ impl AccessHistogram {
     }
 
     /// One rank of [`Self::update_counts`], with `k` ranks moved so far;
-    /// returns the new `k`.
+    /// returns the new `k`. It writes the rank to `moved[k]` and
+    /// advances `k` by whether its bin changed, rather than branching on
+    /// it: at paper scale ~37 % of sampled ranks change bin, in no
+    /// pattern a branch predictor can learn.
     #[inline(always)]
     fn update_count(&mut self, rank: usize, sampled: &[u64], moved: &mut [u32], k: usize) -> usize {
         let old = self.counts[rank];
@@ -259,17 +249,24 @@ impl AccessHistogram {
         k + usize::from(bin_for_count(new) != bin_for_count(old))
     }
 
-    /// Records one tick's sampled estimates: [`Self::add_ranks`] over the
-    /// ranks `touched` holds, or over every rank of `sampled` when it is
-    /// in the all-dirty state. This is the hotness tracker's per-tick
-    /// entry; the result is `add_ranks`', bit for bit, on either kernel.
+    /// Records one tick's sampled estimates:
+    /// [`Self::add_rank`]`(r, sampled[r])` for every rank `r` that
+    /// `touched` holds, or for every rank of `sampled` when it is in the
+    /// all-dirty state. This is the hotness tracker's per-tick entry. It
+    /// runs in two passes: the first updates every count and total and
+    /// notes which ranks changed bin, the second rebins those in order.
+    /// The result is the one-at-a-time loop's, bit for bit, on either
+    /// kernel: counts do not depend on bins, each rank appears once, and
+    /// a rank that keeps its bin is a no-op for the rebin step — so the
+    /// second pass performs the same swap-removes and pushes in the same
+    /// order. `moved` is scratch, grown to `sampled.len()` and never
+    /// shrunk, so one buffer serves every histogram a caller feeds.
     ///
     /// On [`Kernel::Avx512`], a word of `touched` with at least eight of
     /// its 64 ranks set updates eight counts per instruction, the word's
     /// bits as the lane mask, and appends the ranks that changed bin to
     /// `moved` in ascending order; sparser words, and a last word the buffer
-    /// covers only in part, take the per-rank loop. The rebin pass is
-    /// `add_ranks`' own, and `moved` is its scratch.
+    /// covers only in part, take the per-rank loop.
     pub fn record(&mut self, sampled: &[u64], touched: &TouchedSet, moved: &mut Vec<u32>) {
         self.record_counted(sampled, touched, moved);
     }
@@ -536,8 +533,7 @@ impl AccessHistogram {
             .unwrap_or_else(|| panic!("{page} outside histogram region {:?}", self.region))
     }
 
-    /// The rebin pass of [`Self::add_ranks`], [`Self::record`] and
-    /// [`Self::add_rank`]: moves each rank of `ranks`, in order, from the
+    /// The rebin pass of [`Self::record`] and [`Self::add_rank`]: moves each rank of `ranks`, in order, from the
     /// bin its slot names to the bin its count now demands. Every rank
     /// must have changed bin, as the count passes guarantee.
     fn rebin_moved(&mut self, ranks: &[u32]) {

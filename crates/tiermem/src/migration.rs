@@ -229,6 +229,47 @@ impl MigrationEngine {
         completed
     }
 
+    /// Pays for `sizes`, a sequence of page moves (a 1-page promotion
+    /// or a 2-page exchange each), in order, and returns how many
+    /// completed in full: the caller applies that prefix of its moves
+    /// and no other.
+    ///
+    /// While a granted page can fail (a fault seed and a nonzero
+    /// `fail_prob`), each move is one [`Self::try_consume_pages`] call
+    /// and the first that falls short ends the sequence: the failure
+    /// stream draws per granted page *per call*, and
+    /// [`Self::failed_in_last_call`] reports that move's failures.
+    /// Otherwise every granted page completes, and one call pays for
+    /// the total the budget covers (no call when that is 0). Either way
+    /// a move the budget covers only in part consumes what is left, so
+    /// a caller offers the move that may not fit as its last.
+    pub fn try_consume_moves<I: IntoIterator<Item = u64>>(&mut self, sizes: I) -> usize {
+        let mut done = 0;
+        if self.fault_fail_prob > 0.0 && self.fault_rng.is_some() {
+            for pages in sizes {
+                if self.try_consume_pages(pages) < pages {
+                    break;
+                }
+                done += 1;
+            }
+            return done;
+        }
+        let remaining = self.remaining_tick_pages();
+        let mut covered = 0;
+        for pages in sizes {
+            if pages > remaining - covered {
+                covered = remaining;
+                break;
+            }
+            covered += pages;
+            done += 1;
+        }
+        if covered > 0 {
+            self.try_consume_pages(covered);
+        }
+        done
+    }
+
     /// Draws how many of `granted` moves transiently fail this call.
     fn draw_failures(&mut self, granted: u64) -> u64 {
         if self.fault_fail_prob <= 0.0 || granted == 0 {
@@ -247,21 +288,6 @@ impl MigrationEngine {
     #[inline]
     pub fn failed_in_last_call(&self) -> u64 {
         self.failed_last_call
-    }
-
-    /// Whether a granted move can currently fail (fault injection armed
-    /// with a nonzero per-move failure probability). When this is
-    /// `false`, `try_consume_pages(k)` deterministically grants
-    /// `min(k, remaining)` and completes every granted page — so a
-    /// caller may replace a sequence of consume calls with one call for
-    /// the batch total and get bit-identical engine state. When `true`,
-    /// callers must keep the per-call cadence: the failure stream draws
-    /// one RNG sample per granted page *per call*, and the call
-    /// boundaries are observable through
-    /// [`MigrationEngine::failed_in_last_call`].
-    #[inline]
-    pub fn may_fail(&self) -> bool {
-        self.fault_fail_prob > 0.0 && self.fault_rng.is_some()
     }
 
     /// Total page moves that transiently failed since construction.
@@ -427,6 +453,122 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
+    }
+
+    /// An engine whose tick budget is `pages`: 1 MiB pages at 1 MiB/s
+    /// over a `pages`-second tick, traced so its calls can be counted.
+    fn budgeted(pages: u64, fail_prob: f64) -> MigrationEngine {
+        let mut e = MigrationEngine::new(MIB as f64, MIB, 60.0).unwrap();
+        e.set_obs(Obs::traced());
+        e.set_fault_seed(11);
+        e.set_tick_faults(1.0, fail_prob);
+        e.begin_tick(pages as f64);
+        e
+    }
+
+    /// `migrate` spans the engine opened, one per `try_consume_pages`.
+    fn calls(e: &MigrationEngine) -> usize {
+        e.obs
+            .with_tracer(|t| t.spans().iter().filter(|s| s.name == "migrate").count())
+            .unwrap()
+    }
+
+    fn counter(e: &MigrationEngine, name: &str) -> u64 {
+        e.obs.counter_value(name).unwrap_or(0)
+    }
+
+    #[test]
+    fn unarmed_moves_are_paid_with_one_call() {
+        let mut e = budgeted(9, 0.0);
+        assert_eq!(e.try_consume_moves([1, 1, 2, 2, 2]), 5);
+        assert_eq!(calls(&e), 1);
+        assert_eq!(e.remaining_tick_pages(), 1);
+        assert_eq!(e.total_pages_moved(), 8);
+        assert_eq!(counter(&e, "tiermem.migration.requested_pages"), 8);
+        assert_eq!(counter(&e, "tiermem.migration.denied_pages"), 0);
+    }
+
+    #[test]
+    fn a_move_the_budget_covers_in_part_takes_what_is_left() {
+        let mut e = budgeted(5, 0.0);
+        // 1, 2 and 2 pages use the whole budget: the exchange and the
+        // promotion after them find nothing left and do not count.
+        assert_eq!(e.try_consume_moves([1, 2, 2, 2, 1]), 3);
+        assert_eq!((calls(&e), e.remaining_tick_pages()), (1, 0));
+        let mut e = budgeted(4, 0.0);
+        // The second exchange gets 1 of its 2 pages and does not count.
+        assert_eq!(e.try_consume_moves([1, 2, 2]), 2);
+        assert_eq!((calls(&e), e.remaining_tick_pages()), (1, 0));
+        assert_eq!(e.total_pages_moved(), 4);
+        assert_eq!(counter(&e, "tiermem.migration.denied_pages"), 0);
+    }
+
+    #[test]
+    fn nothing_covered_makes_no_call() {
+        let mut e = budgeted(0, 0.0);
+        assert_eq!(e.try_consume_moves([2, 1]), 0);
+        let mut e2 = budgeted(3, 0.0);
+        assert_eq!(e2.try_consume_moves(std::iter::empty()), 0);
+        assert_eq!((calls(&e), calls(&e2)), (0, 0));
+        assert_eq!(counter(&e, "tiermem.migration.requested_pages"), 0);
+    }
+
+    #[test]
+    fn armed_moves_are_paid_one_call_each() {
+        for fail_prob in [0.25, 0.5] {
+            let sizes = [1, 1, 2, 1, 2, 2, 2, 1, 2, 2, 2, 2, 1, 2, 2];
+            let mut batched = budgeted(17, fail_prob);
+            let mut reference = batched.clone();
+            reference.set_obs(Obs::traced());
+            let done = batched.try_consume_moves(sizes);
+            let mut expect = 0;
+            for pages in sizes {
+                if reference.try_consume_pages(pages) < pages {
+                    break;
+                }
+                expect += 1;
+            }
+            assert_eq!(done, expect);
+            assert_eq!(calls(&batched), calls(&reference));
+            assert_eq!(calls(&batched), (done + 1).min(sizes.len()));
+            assert_eq!(batched.failed_moves(), reference.failed_moves());
+            assert_eq!(
+                batched.failed_in_last_call(),
+                reference.failed_in_last_call()
+            );
+            assert_eq!(
+                batched.remaining_tick_pages(),
+                reference.remaining_tick_pages()
+            );
+            assert_eq!(batched.total_pages_moved(), reference.total_pages_moved());
+            assert_eq!(
+                batched.total_busy_secs().to_bits(),
+                reference.total_busy_secs().to_bits()
+            );
+        }
+    }
+
+    #[test]
+    fn armed_moves_stop_at_the_first_failure_or_the_budget() {
+        // Every granted page fails: the first move ends the sequence.
+        let mut e = budgeted(9, 1.0);
+        assert_eq!(e.try_consume_moves([2, 1, 2]), 0);
+        assert_eq!(calls(&e), 1);
+        assert_eq!((e.failed_in_last_call(), e.remaining_tick_pages()), (2, 7));
+        // Nothing can fail without a seed, so one call pays for all.
+        let mut e = MigrationEngine::new(MIB as f64, MIB, 60.0).unwrap();
+        e.set_obs(Obs::traced());
+        e.set_tick_faults(1.0, 1.0);
+        e.begin_tick(9.0);
+        assert_eq!(e.try_consume_moves([2, 1, 2]), 3);
+        assert_eq!((calls(&e), e.remaining_tick_pages()), (1, 4));
+        // Armed, the move the budget cannot cover is still offered: its
+        // call takes the last page and the sequence stops.
+        let mut e = budgeted(3, 1e-9);
+        assert_eq!(e.try_consume_moves([2, 2, 1]), 1);
+        assert_eq!(calls(&e), 2);
+        assert_eq!(e.remaining_tick_pages(), 0);
+        assert_eq!(counter(&e, "tiermem.migration.denied_pages"), 1);
     }
 
     #[test]
